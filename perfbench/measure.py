@@ -12,17 +12,22 @@ outside the call's timing):
   a never-seen stream instance.
 * ``serve_hot`` — ``repro serve --workers 2 --max-cost BUDGET`` with two
   client connections over the Zipf-weighted hot pool: a closed-loop
-  capacity phase, then an open loop at :data:`OPEN_RATE` requests/s with
-  a hot ``reload`` of the same artifact every :data:`RELOAD_EVERY_S`.
-  With ``--inproc`` the same service runs in this process behind
+  capacity phase, then an open loop at :data:`OPEN_RATE` requests/s
+  with one hot ``reload`` of the same artifact halfway through. With
+  ``--inproc`` the same service runs in this process behind
   ``ServerThread`` (the traced run's hosting).
 * ``scatter_fleet`` — one caller on ``repro.connect(2-shard artifact,
   backend="remote")`` in front of two ``repro shard-serve`` processes;
   ``query_batch`` calls of :data:`SCATTER_BATCH` stream instances.
 
-Every end-to-end latency is divided by the machine-speed factor that
-the concurrent ``probe.py`` process measured over the run
-(:class:`SpeedScale`), and ``qps`` multiplied by it; the unscaled
+A stream workload that uses up its stream before the run ends goes on
+with the same instances on a freshly started system, to which they are
+unseen again (the restart is outside every call's timing).
+
+Only good calls count towards ``qps``: answered, correct and within
+their bound. Every end-to-end latency is divided by the machine-speed
+factor of :class:`probe.SpeedProbe`, timed in gaps of the run with the
+server processes stopped, and ``qps`` multiplied by it; the unscaled
 figures are reported alongside under ``raw``. Set-up time and memory
 stay unscaled.
 """
@@ -34,7 +39,6 @@ import contextlib
 import json
 import random
 import statistics
-import subprocess
 import sys
 import threading
 import time
@@ -44,9 +48,12 @@ import numpy
 
 import inputs
 import layers
+import probe
 import procs
 
-SETUP_REPS = 3
+#: Set-ups per run, whose median is ``setup_s``: more where one is short
+#: and its relative noise large.
+SETUP_REPS = {"fresh_bindings": 15, "serve_hot": 7, "scatter_fleet": 5}
 #: Latency limit of the ``slo_met`` metric; its name carries the limit.
 SLO_MS = 100.0
 SLO_METRIC = f"slo_met_{SLO_MS:g}ms"
@@ -54,28 +61,31 @@ SLO_METRIC = f"slo_met_{SLO_MS:g}ms"
 #: connections together): well under the capacity phase's rate on a busy
 #: 2-core machine, so the open loop measures latency, not a backlog.
 OPEN_RATE = 400.0
-RELOAD_EVERY_S = 1.0
-#: Requests due this long after a reload starts count as post-reload.
+#: The open loop's one hot reload starts this share of the way through
+#: it. One reload measures the write path and its tail while nearly
+#: every request stays a cache hit, as the workload intends.
+RELOAD_AT_SHARE = 0.5
+#: Requests due this long after the reload starts count as post-reload.
 POST_RELOAD_WINDOW_S = 0.5
 #: Share of a ``serve_hot`` run spent in the capacity phase.
 CAPACITY_SHARE = 0.5
+#: Wall-clock block of the capacity phase; ``qps`` is the median of the
+#: blocks' rates, and the speed probe runs between blocks.
+CAPACITY_BLOCK_S = 0.5
+#: Speed-probe chunks between capacity blocks and after the open loop.
+PROBE_GAP_CHUNKS = 5
 SERVE_CLIENTS = 2
 #: Requests per Zipf cycle of one connection: the open loop sends each
 #: connection about one cycle, so its request mix is fixed.
 QUOTA_CYCLE = 1000
 SERVE_WORKERS = 2
 SCATTER_BATCH = 4
-#: Count metrics (and the in-process peak RSS) are taken over a fixed
-#: prefix of calls per measured second, so they repeat for one seed and
-#: run length: calls (fresh), batches (scatter). ``serve_hot`` counts
-#: over its open loop, whose requests are fixed by the seed.
+#: Count metrics (and peak RSS) are taken over a fixed prefix of calls
+#: per measured second, so they repeat for one seed and run length:
+#: calls (fresh), batches (scatter). ``serve_hot`` counts over its open
+#: loop, whose requests are fixed by the seed.
 FRESH_PREFIX_PER_S = 200
 SCATTER_PREFIX_PER_S = 20
-#: Wall-clock block of the median-of-blocks ``qps`` of the capacity
-#: phase (the stream workloads use 1 s).
-CAPACITY_BLOCK_S = 0.5
-#: CPU seconds the probe chunk takes at speed factor 1.
-PROBE_REF_S = 0.005
 REQUEST_TIMEOUT_S = 20.0
 
 
@@ -85,40 +95,6 @@ def pct(values, q: float) -> float:
 
 def mean(values) -> float:
     return float(statistics.fmean(values)) if len(values) else 0.0
-
-
-class SpeedScale:
-    """Machine-speed factor from a concurrent ``probe.py`` process: the
-    median probe chunk time over the run, over :data:`PROBE_REF_S`. A
-    factor of 1.5 means the machine ran the probe 1.5 times slower than
-    the reference while the run was measured."""
-
-    def __init__(self):
-        self._proc = subprocess.Popen(
-            [sys.executable, str(Path(__file__).with_name("probe.py"))],
-            env=procs.child_env(), stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE, text=True)
-        # Measure nothing before the probe runs at its steady duty cycle.
-        self._first = self._proc.stdout.readline()
-        self.factor = 1.0
-
-    def stop(self) -> None:
-        """Stop the probe and compute the factor (idempotent)."""
-        if self._proc.stdin.closed:
-            return
-        self._proc.stdin.close()
-        lines = [self._first, *self._proc.stdout.read().split("\n")]
-        self._proc.wait()
-        self._proc.stdout.close()
-        times = [float(line.split()[1]) for line in lines if line.strip()]
-        if times:
-            self.factor = statistics.median(times) / PROBE_REF_S
-
-    def __enter__(self) -> "SpeedScale":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 class Outcomes:
@@ -137,21 +113,22 @@ class Outcomes:
 
     def record(self, latency_ms: float, *, at: float | None = None,
                error: bool = False, correct: bool = True, bounds=(),
-               queries: int = 1) -> None:
+               queries: int = 1) -> bool:
         """One call answering ``queries`` queries; ``bounds`` holds the
         ``(accessed, plan bound)`` pair of each answered query; ``at`` is
-        when the latency started (default: now)."""
+        when the latency started (default: now). Returns whether the
+        call was good."""
         if at is None:
             at = time.perf_counter()
         within = all(accessed <= bound <= inputs.BUDGET
                      for accessed, bound in bounds)
+        good = not error and correct and within
         with self.lock:
             self.attempted += queries
-            self.requests.append((at, latency_ms, queries,
-                                  not error and correct and within))
+            self.requests.append((at, latency_ms, queries, good))
             if error:
                 self.errors += queries
-                return
+                return False
             if not correct:
                 self.wrong += queries
             if not within:
@@ -160,6 +137,7 @@ class Outcomes:
                 if bound > 0:
                     self.utilization_max = max(self.utilization_max,
                                                accessed / bound)
+        return good
 
     def merge(self, other: "Outcomes") -> None:
         """Fold another phase's failure counts into this one."""
@@ -210,8 +188,9 @@ def in_process_check(run, semantics: str, expected) -> tuple[bool, tuple]:
 
 def block_rate(events, block_s: float = 1.0) -> float:
     """Median over ``block_s`` wall-clock blocks of queries per busy
-    second; ``events`` are ``(started at, queries, busy seconds)``. The
-    median keeps a short stall of the shared machine out of the rate."""
+    second; ``events`` are ``(started at, queries, busy seconds)`` of
+    good calls. The median keeps a short stall of the shared machine out
+    of the rate."""
     blocks: dict[int, list] = {}
     for at, queries, busy in events:
         block = blocks.setdefault(int(at / block_s), [0, 0.0])
@@ -224,12 +203,12 @@ def block_rate(events, block_s: float = 1.0) -> float:
     return float(statistics.median(rates)) if rates else 0.0
 
 
-def timed_setups(start_once) -> list:
-    """Durations (seconds) of :data:`SETUP_REPS` calls of ``start_once``.
-    Set-up times stay unscaled: scaling them widened their run-to-run
-    spread instead of narrowing it."""
+def timed_setups(start_once, reps: int) -> list:
+    """Durations (seconds) of ``reps`` calls of ``start_once``. Set-up
+    times stay unscaled: scaling them widened their run-to-run spread
+    instead of narrowing it."""
     durations = []
-    for _ in range(SETUP_REPS):
+    for _ in range(reps):
         start = time.perf_counter()
         start_once()
         durations.append(time.perf_counter() - start)
@@ -237,22 +216,30 @@ def timed_setups(start_once) -> list:
 
 
 def stream_loop(args, queries, digests, call, *, batch: int, prefix: int,
-                samples, on_prefix=None):
+                samples, speed: probe.SpeedProbe, restart,
+                on_prefix=None):
     """One closed-loop caller over the instance stream, ``batch``
-    instances per ``call``. Runs for ``--seconds``, and on past them (up
-    to twice as long) until ``prefix`` calls have completed, so the count
-    metrics taken over the prefix repeat exactly for one seed."""
+    instances per ``call``, with ``speed`` probing between calls. Runs
+    for ``--seconds``, and on past them (up to twice as long) until
+    ``prefix`` calls have completed, so the count metrics taken over the
+    prefix repeat exactly for one seed. When the stream is used up,
+    ``restart()`` starts a fresh system and returns its ``call``, and
+    the stream starts over."""
     from repro.errors import ReproError
 
     out = Outcomes()
     events, accessed = [], []
-    calls = 0
+    calls = first = restarts = 0
     begin = time.perf_counter()
     deadline, hard_deadline = begin + args.seconds, begin + 2 * args.seconds
-    for first in range(0, len(queries) - batch + 1, batch):
+    while True:
         now = time.perf_counter()
         if now >= hard_deadline or (now >= deadline and calls >= prefix):
             break
+        if first + batch > len(queries):
+            call = restart()
+            restarts += 1
+            first = 0
         chunk = queries[first:first + batch]
         spans = layers.CallSpans(samples) if samples is not None \
             else contextlib.nullcontext()
@@ -268,39 +255,43 @@ def stream_loop(args, queries, digests, call, *, batch: int, prefix: int,
         else:
             elapsed = time.perf_counter() - start
         calls += 1
-        events.append((start, len(chunk), elapsed))
-        if runs is None:
-            continue
-        checks = [in_process_check(run, semantics, digests[first + offset])
-                  for offset, (run, (_, semantics))
-                  in enumerate(zip(runs, chunk))]
-        out.record(elapsed * 1000.0, at=start,
-                   correct=all(correct for correct, _ in checks),
-                   bounds=[bounds for _, bounds in checks],
-                   queries=len(chunk))
-        if calls <= prefix:
-            accessed.extend(bounds[0] for _, bounds in checks)
+        if runs is not None:
+            checks = [in_process_check(run, semantics,
+                                       digests[first + offset])
+                      for offset, (run, (_, semantics))
+                      in enumerate(zip(runs, chunk))]
+            if out.record(elapsed * 1000.0, at=start,
+                          correct=all(correct for correct, _ in checks),
+                          bounds=[bounds for _, bounds in checks],
+                          queries=len(chunk)):
+                events.append((start, len(chunk), elapsed))
+            if calls <= prefix:
+                accessed.extend(bounds[0] for _, bounds in checks)
+            if samples is not None:
+                samples.add("call", elapsed * 1000.0)
+                for run in runs:
+                    samples.add("matching.gq_nodes", run.gq.num_nodes)
         if calls == prefix and on_prefix is not None:
             on_prefix(out.attempted)
-        if samples is not None:
-            samples.add("call", elapsed * 1000.0)
-            for run in runs:
-                samples.add("matching.gq_nodes", run.gq.num_nodes)
-    return out, {"events": events, "accessed_per_query": mean(accessed)}
+        first += batch
+        speed.tick()
+    return out, {"events": events, "accessed_per_query": mean(accessed),
+                 "restarts": restarts}
 
 
-def finish_stream(out: Outcomes, result: dict, scale: SpeedScale) -> None:
+def finish_stream(out: Outcomes, result: dict,
+                  speed: probe.SpeedProbe) -> None:
     """End-to-end figures of a stream workload, scaled and raw."""
     raw_qps = block_rate(result.pop("events"))
-    result.update({"qps": raw_qps * scale.factor,
-                   "latencies_ms": out.latencies(scale.factor),
-                   "slo_met": out.slo_met(scale.factor),
+    result.update({"qps": raw_qps * speed.factor,
+                   "latencies_ms": out.latencies(speed.factor),
+                   "slo_met": out.slo_met(speed.factor),
                    "raw_qps": raw_qps,
                    "raw_latencies_ms": out.latencies()})
 
 
 # ------------------------------------------------------------ fresh_bindings
-def fresh_bindings(args, samples, scale: SpeedScale):
+def fresh_bindings(args, samples, speed: probe.SpeedProbe):
     import repro
 
     cache = Path(args.cache)
@@ -312,30 +303,44 @@ def fresh_bindings(args, samples, scale: SpeedScale):
     def start_once():
         if engines:
             engines.pop().close()
-        engines.append(repro.connect(single))
+        engine = repro.connect(single)
+        engines.append(engine)
+        if samples is not None:
+            layers.time_method(engine, "prepare", samples, "engine.prepare")
 
-    setups = timed_setups(start_once)
-    engine = engines[0]
-    if samples is not None:
-        layers.time_method(engine, "prepare", samples, "engine.prepare")
-    rss = {}
+    def call(chunk):
+        return [engines[0].query(*chunk[0])]
+
+    def restart():
+        start_once()
+        return call
+
+    setups = timed_setups(start_once, SETUP_REPS["fresh_bindings"])
+    marks = {}
+
+    def on_prefix(_done):
+        # Taken after the prefix: the unbounded kernel caches grow with
+        # every call, so a later reading would track machine speed.
+        engine = engines[0]
+        marks.update({"rss_mb": procs.vm_hwm_mb(),
+                      "kernel_cache_entries": kernel_entries(engine),
+                      "plan_cache": engine.cache_info()})
+
     try:
-        # Peak RSS after the prefix: the unbounded kernel caches grow
-        # with every call, so a later reading would track machine speed.
         out, result = stream_loop(
-            args, queries, oracle["digests"],
-            lambda chunk: [engine.query(*chunk[0])], batch=1,
+            args, queries, oracle["digests"], call, batch=1,
             prefix=round(FRESH_PREFIX_PER_S * args.seconds), samples=samples,
-            on_prefix=lambda _done: rss.setdefault("mb", procs.vm_hwm_mb()))
-        result.update({"kernel_cache_entries": kernel_entries(engine),
-                       "plan_cache": engine.cache_info()})
+            speed=speed, restart=restart, on_prefix=on_prefix)
+        if "rss_mb" not in marks:
+            on_prefix(None)
     finally:
-        engine.close()
-    scale.stop()
-    finish_stream(out, result, scale)
+        if engines:
+            engines.pop().close()
+    speed.stop()
+    finish_stream(out, result, speed)
+    result.update(marks)
     result.update({"setup_s": statistics.median(setups),
-                   "load_s": statistics.median(setups),
-                   "rss_mb": rss.get("mb") or procs.vm_hwm_mb()})
+                   "load_s": statistics.median(setups)})
     return out, result
 
 
@@ -417,46 +422,51 @@ def serve_request(conn: Connection, pool: PoolChecker, index: int):
 
 
 def record_served(out: Outcomes, pool: PoolChecker, index: int, result,
-                  latency_ms: float, at: float) -> None:
+                  latency_ms: float, at: float) -> bool:
     if result is None:
-        out.record(latency_ms, at=at, error=True)
-    else:
-        out.record(latency_ms, at=at, correct=pool.correct(index, result),
-                   bounds=[(result.accessed, result.cost)])
+        return out.record(latency_ms, at=at, error=True)
+    return out.record(latency_ms, at=at, correct=pool.correct(index, result),
+                      bounds=[(result.accessed, result.cost)])
 
 
-def capacity_phase(host, port, pool, seed, seconds):
-    """Closed loop from every client connection. Returns the outcomes
-    and ``(started at, queries, busy seconds)`` events for
-    :func:`block_rate`, a request's busy time being its share of the
-    wall time the connections overlap."""
+def capacity_phase(host, port, pool, seed, seconds, speed):
+    """Closed loop from every client connection, in blocks of
+    :data:`CAPACITY_BLOCK_S` with the speed probe between them. Returns
+    the outcomes and the rate of each block: its good requests over its
+    wall time, every connection being busy all of it."""
     out = Outcomes()
-    deadline = time.perf_counter() + seconds
+    conns = [Connection(host, port) for _ in range(SERVE_CLIENTS)]
+    requests = [pool.requests(random.Random(f"{seed}/capacity/{slot}"))
+                for slot in range(SERVE_CLIENTS)]
+    rates = []
+    try:
+        for _ in range(max(1, round(seconds / CAPACITY_BLOCK_S))):
+            good = [0] * SERVE_CLIENTS
+            begin = time.perf_counter()
+            deadline = begin + CAPACITY_BLOCK_S
 
-    def client(slot):
-        requests = pool.requests(random.Random(f"{seed}/capacity/{slot}"))
-        conn = Connection(host, port)
-        try:
-            while time.perf_counter() < deadline:
-                index = next(requests)
-                start = time.perf_counter()
-                result = serve_request(conn, pool, index)
-                latency = (time.perf_counter() - start) * 1000.0
-                record_served(out, pool, index, result, latency, start)
-        finally:
+            def client(slot):
+                while time.perf_counter() < deadline:
+                    index = next(requests[slot])
+                    start = time.perf_counter()
+                    result = serve_request(conns[slot], pool, index)
+                    latency = (time.perf_counter() - start) * 1000.0
+                    good[slot] += record_served(out, pool, index, result,
+                                                latency, start)
+
+            run_threads(client, SERVE_CLIENTS)
+            rates.append(sum(good) / (time.perf_counter() - begin))
+            speed.gap(PROBE_GAP_CHUNKS)
+    finally:
+        for conn in conns:
             conn.close()
-
-    run_threads(client, SERVE_CLIENTS)
-    # Each of the SERVE_CLIENTS connections is busy all the time: a
-    # request's share of wall time is its latency over the client count.
-    events = [(at, queries, latency / 1000.0 / SERVE_CLIENTS)
-              for at, latency, queries, _ in out.requests]
-    return out, events
+    return out, rates
 
 
 def open_phase(host, port, pool, seed, seconds, artifact):
     """Open loop at OPEN_RATE; latency runs from each request's due time.
-    A reload connection hot-reloads ``artifact`` every RELOAD_EVERY_S."""
+    A reload connection hot-reloads ``artifact`` once, RELOAD_AT_SHARE
+    of the way through."""
     out = Outcomes()
     lags: list[float] = []
     accessed: list[int] = []
@@ -493,25 +503,21 @@ def open_phase(host, port, pool, seed, seconds, artifact):
     def reloader(_slot):
         conn = Connection(host, port)
         try:
-            at = start + RELOAD_EVERY_S / 2
-            while at < end:
-                now = time.perf_counter()
-                if now < at:
-                    time.sleep(at - now)
-                begun = time.perf_counter()
-                try:
-                    conn.call("reload", artifact)
-                    ok = True
-                except Exception:  # noqa: BLE001 — counted as failed
-                    ok = False
-                reloads.append((begun, time.perf_counter(), ok))
-                at += RELOAD_EVERY_S
+            delay = start + RELOAD_AT_SHARE * seconds - time.perf_counter()
+            if delay > 0:
+                time.sleep(delay)
+            begun = time.perf_counter()
+            try:
+                conn.call("reload", artifact)
+                ok = True
+            except Exception:  # noqa: BLE001 — counted as failed
+                ok = False
+            reloads.append((begun, time.perf_counter(), ok))
         finally:
             conn.close()
 
     run_threads(client, SERVE_CLIENTS, extra=reloader)
-    return out, {"reloads": reloads, "lag_ms": lags, "accessed": accessed,
-                 "start": start}
+    return out, {"reloads": reloads, "lag_ms": lags, "accessed": accessed}
 
 
 def run_threads(target, count, extra=None):
@@ -534,7 +540,7 @@ def ping(host: str, port: int) -> None:
         conn.close()
 
 
-def serve_hot(args, samples, scale: SpeedScale):
+def serve_hot(args, samples, speed: probe.SpeedProbe):
     cache = Path(args.cache)
     pool = PoolChecker(*load_inputs(cache, inputs.POOL_SEED))
     single = inputs.ensure_artifacts(cache)["single"]
@@ -565,15 +571,18 @@ def serve_hot(args, samples, scale: SpeedScale):
             ping(server.host, server.port)
 
     try:
-        setups = timed_setups(start_once)
+        setups = timed_setups(start_once, SETUP_REPS["serve_hot"])
         host = hosts[0]
         address = ((host[0].host, host[0].port) if args.inproc
                    else (host.host, host.port))
         capacity_s = args.seconds * CAPACITY_SHARE
-        capacity, events = capacity_phase(*address, pool, args.seed,
-                                          capacity_s)
+        if not args.inproc:
+            speed.paused = [host.proc.pid]
+        capacity, rates = capacity_phase(*address, pool, args.seed,
+                                         capacity_s, speed)
         out, extra = open_phase(*address, pool, args.seed,
                                 args.seconds - capacity_s, single)
+        speed.gap(PROBE_GAP_CHUNKS)
         rss = procs.vm_hwm_mb() if args.inproc else host.peak_rss_mb()
         if args.inproc:
             service = host[1]
@@ -583,29 +592,20 @@ def serve_hot(args, samples, scale: SpeedScale):
             cache_entries = kernel_entries(service.engine)
     finally:
         stop_host()
-    scale.stop()
+    speed.stop()
     reloads = extra["reloads"]
     post = [latency for at, latency, _, _ in out.requests
             if any(begun <= at <= begun + POST_RELOAD_WINDOW_S
                    for begun, _, _ in reloads)]
-    # Each reload period's p99 is set by its reload's stall; the median
-    # over the periods keeps one outlying stall from setting the run's.
-    periods: dict[int, list] = {}
-    for at, latency, _, _ in out.requests:
-        periods.setdefault(int((at - extra["start"]) / RELOAD_EVERY_S),
-                           []).append(latency)
-    period_p99 = [pct(values, 99) for values in periods.values()]
-    raw_qps = block_rate(events, CAPACITY_BLOCK_S)
+    raw_qps = float(statistics.median(rates))
     result = {
         "setup_s": statistics.median(setups),
-        "qps": raw_qps * scale.factor,
+        "qps": raw_qps * speed.factor,
         "raw_qps": raw_qps,
-        "latencies_ms": out.latencies(scale.factor),
+        "block_qps": rates,
+        "latencies_ms": out.latencies(speed.factor),
         "raw_latencies_ms": out.latencies(),
-        "p99_ms": statistics.median(period_p99) / scale.factor,
-        "raw_p99_ms": statistics.median(period_p99),
-        "period_p99_ms": period_p99,
-        "slo_met": out.slo_met(scale.factor),
+        "slo_met": out.slo_met(speed.factor),
         "rss_mb": rss,
         "accessed_per_query": mean(extra["accessed"]),
         "load_s": statistics.median(loads) if loads else 0.0,
@@ -675,30 +675,53 @@ def start_fleet(arts, cache):
     return shards, engine, load_s
 
 
-def backend_counters(backend) -> dict:
+def fleet_counters(backend) -> dict:
+    """Cumulative counters of one front-end backend and its shards."""
     wire = backend.wire_stats()
+    metrics = backend.shard_metrics()
     return {"rounds": backend.scatter_rounds,
             "messages": backend.scatter_messages,
             "dedup_hits": backend.scatter_dedup_hits,
             "overlapped": backend.rounds_overlapped,
             "bytes": sum(w["bytes_sent"] + w["bytes_received"]
                          for w in wire),
-            "encode_ms": sum(w["encode_ms"] for w in wire)}
-
-
-def shard_counters(backend) -> dict:
-    metrics = backend.shard_metrics()
-    return {"busy_s": sum(m["scatter_seconds"] for m in metrics),
+            "encode_ms": sum(w["encode_ms"] for w in wire),
+            "busy_s": sum(m["scatter_seconds"] for m in metrics),
             "tasks": sum(m["tasks_handled"] for m in metrics)}
 
 
-def scatter_fleet(args, samples, scale: SpeedScale):
+class FleetTotals:
+    """Counters summed over every fleet a run starts (a restart after the
+    stream is used up starts a new one)."""
+
+    def __init__(self):
+        self.closed: dict = {}
+        self.backend = None
+        self.base: dict = {}
+
+    def open(self, backend) -> None:
+        self.backend, self.base = backend, fleet_counters(backend)
+
+    def close(self) -> None:
+        self.closed = self.now()
+        self.backend = None
+
+    def now(self) -> dict:
+        if self.backend is None:
+            return dict(self.closed)
+        current = fleet_counters(self.backend)
+        return {name: self.closed.get(name, 0) + current[name]
+                - self.base[name] for name in current}
+
+
+def scatter_fleet(args, samples, speed: probe.SpeedProbe):
     cache = Path(args.cache)
     items, oracle = load_inputs(cache, args.seed)
     queries = parsed(items)
     arts = inputs.ensure_artifacts(cache)
     fleet: list = []
     loads: list = []
+    totals = FleetTotals()
 
     def stop_fleet():
         if fleet:
@@ -713,52 +736,60 @@ def scatter_fleet(args, samples, scale: SpeedScale):
         fleet.append((shards, engine))
         loads.append(load_s)
 
-    marks: dict = {}
-    try:
-        setups = timed_setups(start_once)
-        shards, engine = fleet[0]
+    def watch():
+        _, engine = fleet[0]
         backend = getattr(engine, "_shards")
         if samples is not None:
             layers.ScatterProbe(backend, samples)
             layers.time_method(engine, "prepare", samples, "engine.prepare")
-        base = backend_counters(backend)
-        shard_base = shard_counters(backend)
+        totals.open(backend)
+        speed.paused = [server.proc.pid for server in fleet[0][0]]
 
-        def on_prefix(queries_done):
-            marks["prefix"] = backend_counters(backend)
-            marks["queries"] = queries_done
+    def restart():
+        totals.close()
+        start_once()
+        watch()
+        return fleet[0][1].query_batch
 
+    marks: dict = {}
+
+    def on_prefix(queries_done):
+        shards = fleet[0][0]
+        marks.update({"prefix": totals.now(), "queries": queries_done,
+                      "rss_mb": procs.vm_hwm_mb()
+                      + sum(s.peak_rss_mb() for s in shards)})
+
+    try:
+        setups = timed_setups(start_once, SETUP_REPS["scatter_fleet"])
+        watch()
         out, result = stream_loop(
-            args, queries, oracle["digests"], engine.query_batch,
+            args, queries, oracle["digests"], fleet[0][1].query_batch,
             batch=SCATTER_BATCH,
             prefix=round(SCATTER_PREFIX_PER_S * args.seconds),
-            samples=samples, on_prefix=on_prefix)
-        end = backend_counters(backend)
-        shard_end = shard_counters(backend)
-        rss = procs.vm_hwm_mb() + sum(s.peak_rss_mb() for s in shards)
+            samples=samples, speed=speed, restart=restart,
+            on_prefix=on_prefix)
+        if "prefix" not in marks:
+            on_prefix(out.attempted)
+        totals.close()
     finally:
         stop_fleet()
-    scale.stop()
-    finish_stream(out, result, scale)
-    prefix = marks.get("prefix", end)
-    prefix_queries = max(marks.get("queries", out.attempted), 1)
+    speed.stop()
+    finish_stream(out, result, speed)
+    end, prefix = totals.closed, marks["prefix"]
+    prefix_queries = max(marks["queries"], 1)
     queries_done = max(out.attempted, 1)
-    rounds = end["rounds"] - base["rounds"]
     result.update({
         "setup_s": statistics.median(setups),
         "load_s": statistics.median(loads),
-        "rss_mb": rss,
-        "per_query": {name: (prefix[name] - base[name]) / prefix_queries
+        "rss_mb": marks["rss_mb"],
+        "per_query": {name: prefix[name] / prefix_queries
                       for name in ("rounds", "messages", "dedup_hits",
                                    "bytes")},
-        "overlap_frac": ((end["overlapped"] - base["overlapped"]) / rounds
-                         if rounds else 0.0),
-        "encode_ms_per_query": (end["encode_ms"] - base["encode_ms"])
-        / queries_done,
-        "shard_busy_ms_per_query": (shard_end["busy_s"] - shard_base["busy_s"])
-        * 1000.0 / queries_done,
-        "shard_tasks_per_query": (shard_end["tasks"] - shard_base["tasks"])
-        / queries_done,
+        "overlap_frac": (end["overlapped"] / end["rounds"]
+                         if end["rounds"] else 0.0),
+        "encode_ms_per_query": end["encode_ms"] / queries_done,
+        "shard_busy_ms_per_query": end["busy_s"] * 1000.0 / queries_done,
+        "shard_tasks_per_query": end["tasks"] / queries_done,
     })
     return out, result
 
@@ -768,7 +799,7 @@ WORKLOADS = {"fresh_bindings": fresh_bindings, "serve_hot": serve_hot,
 
 
 def summarize(args, out: Outcomes, result: dict, samples,
-              scale: SpeedScale) -> dict:
+              speed: probe.SpeedProbe) -> dict:
     latencies = result["latencies_ms"]
     raw = result["raw_latencies_ms"]
     doc = {
@@ -784,22 +815,27 @@ def summarize(args, out: Outcomes, result: dict, samples,
             "setup_s": result["setup_s"],
             "qps": result["qps"],
             "p50_ms": pct(latencies, 50),
-            "p99_ms": result.get("p99_ms", pct(latencies, 99)),
+            "p99_ms": pct(latencies, 99),
             SLO_METRIC: result["slo_met"],
             "peak_rss_mb": result["rss_mb"],
             "accessed_per_query": result["accessed_per_query"],
         },
         "raw": {"qps": result["raw_qps"], "p50_ms": pct(raw, 50),
-                "p99_ms": result.get("raw_p99_ms", pct(raw, 99))},
-        "speed_factor": scale.factor,
+                "p99_ms": pct(raw, 99)},
+        "speed_factor": speed.factor,
+        "bracket_speed_factor": speed.bracket_factor,
+        "probe_gaps": len(speed.gaps),
+        "threads_max": speed.threads,
         "slo_met": result["slo_met"],
         "bound_utilization_max": out.utilization_max,
     }
+    if "restarts" in result:
+        doc["stream_restarts"] = result["restarts"]
     if args.workload == "serve_hot":
         doc["reload_ms"] = result["reload_ms"]
+        doc["capacity_block_qps"] = result["block_qps"]
         doc["post_reload_p99_ms"] = pct(result["post_reload_ms"], 99)
         doc["lag_p99_ms"] = pct(result["lag_ms"], 99)
-        doc["period_p99_ms"] = result["period_p99_ms"]
     if samples is not None:
         doc["layers"] = layer_metrics(args, out, result, samples)
     return doc
@@ -898,9 +934,9 @@ def main(argv=None) -> int:
                         help="serve_hot: host the service in this process")
     args = parser.parse_args(argv)
     samples = layers.Samples() if args.traced else None
-    with SpeedScale() as scale:
-        out, result = WORKLOADS[args.workload](args, samples, scale)
-    print(json.dumps(summarize(args, out, result, samples, scale)),
+    speed = probe.SpeedProbe()
+    out, result = WORKLOADS[args.workload](args, samples, speed)
+    print(json.dumps(summarize(args, out, result, samples, speed)),
           flush=True)
     return 0
 
