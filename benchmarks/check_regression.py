@@ -83,6 +83,12 @@ def current_metrics(results_dir: Path) -> dict:
         speedup_4w = shard_by_workers[top_workers]["speedup_vs_1worker"]
     else:
         speedup_4w = SKIPPED
+    # The routed row carries wire_bytes_reduction = None at a scale with
+    # no recorded broadcast-JSON reference: skipped there, not missing.
+    routed = remote_by_mode.get("remote_routed", {})
+    bytes_reduction = routed.get("wire_bytes_reduction")
+    if bytes_reduction is None and "wire_bytes_reduction" in routed:
+        bytes_reduction = SKIPPED
     return {
         "engine_throughput": {
             "prepared_qps": by_mode["prepared"]["qps"],
@@ -114,11 +120,11 @@ def current_metrics(results_dir: Path) -> dict:
         # The remote gate is mostly machine-independent: answer identity
         # over the wire, the owner-routing message reduction, and the
         # binary-wire byte reduction (both deterministic counts, not
-        # wall-clock). wire_bytes_reduction compares broadcast JSON
-        # against routed *binary* scatter, so it is skipped on a
-        # no-numpy build (which negotiates JSON and cannot make the
-        # claim). routed_qps is the conservative absolute loopback
-        # throughput floor of the routed remote mode.
+        # wall-clock). wire_bytes_reduction divides a recorded
+        # broadcast-JSON byte count by the routed bytes, so it is
+        # skipped at a scale with no recorded count (None in the row).
+        # routed_qps is the conservative absolute loopback throughput
+        # floor of the routed remote mode.
         "remote": {
             "answers_identical": (float(all(row["answers_identical"]
                                             for row in remote_rows))
@@ -126,12 +132,7 @@ def current_metrics(results_dir: Path) -> dict:
             "scatter_reduction":
                 (remote_by_mode["remote_routed"]["scatter_reduction"]
                  if "remote_routed" in remote_by_mode else None),
-            "wire_bytes_reduction":
-                ((remote_by_mode["remote_routed"].get(
-                    "wire_bytes_reduction")
-                  if remote_by_mode["remote_routed"].get(
-                      "wire_codec") == "binary" else SKIPPED)
-                 if "remote_routed" in remote_by_mode else None),
+            "wire_bytes_reduction": bytes_reduction,
             "routed_qps":
                 (remote_by_mode["remote_routed"]["qps"]
                  if "remote_routed" in remote_by_mode else None),

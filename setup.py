@@ -1,12 +1,9 @@
 """Packaging for the ``repro`` library (src layout, pure Python).
 
-numpy is a declared runtime dependency because the engine's default
-execution strategy is the vectorized array-kernel executor
-(``repro/core/kernels.py``). It is still an *optional* fast path at
-runtime: without numpy the library imports cleanly and the engine
-auto-selects the sequential executor with identical answers and
-accounting (the ``tests-no-numpy`` CI job pins this), so constrained
-environments can strip the dependency.
+numpy is a required runtime dependency: the engine's default execution
+strategy is the vectorized array-kernel executor
+(``repro/core/kernels.py``), and shard scatter RPCs travel as packed
+binary frames built from numpy buffers (``repro/server/protocol.py``).
 """
 
 from setuptools import find_packages, setup

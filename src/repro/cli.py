@@ -15,11 +15,10 @@ Subcommands::
     repro serve    --artifact art/ [--port 8642] [--workers 4]
                    [--max-cost 50000] [--extend-budget M]
                    [--shard-addrs host:8650,host:8651]   # remote fleet
-                   [--wire-format auto|json|binary]
                    [--metrics-port 9642] [--trace]
                    [--slow-query-ms 50] [--log-format json]
     repro shard-serve --artifact art/shard-0000 [--port 8650]
-                   [--wire-format auto|json|binary] [--log-format json]
+                   [--log-format json]
     repro metrics  [host:8642] [--json]                  # live snapshot
     repro bench    --experiment exp1 [--experiment ...] [--dataset imdb]
                    [--scale 0.05] [--artifact art/]
@@ -292,8 +291,7 @@ def _cmd_shard_serve(args) -> int:
     from repro.server import shardserver
 
     argv = ["--artifact", args.artifact, "--host", args.host,
-            "--log-format", args.log_format,
-            "--wire-format", args.wire_format]
+            "--log-format", args.log_format]
     if args.delay_ms:
         argv += ["--delay-ms", str(args.delay_ms)]
     if args.delay_jitter_ms:
@@ -327,8 +325,7 @@ def _cmd_serve(args) -> int:
         engine = connect(args.artifact, validate=args.validate,
                          workers=args.exec_workers,
                          backend="remote" if shard_addrs else "auto",
-                         shard_addrs=shard_addrs,
-                         wire_format=args.wire_format)
+                         shard_addrs=shard_addrs)
     elif args.exec_workers or shard_addrs:
         flag = "--exec-workers" if args.exec_workers else "--shard-addrs"
         print(f"{flag} requires --artifact pointing at a sharded "
@@ -624,14 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "one comma-separated list); serves scatter "
                               "waves from the fleet instead of local "
                               "shards (requires a sharded --artifact)")
-    p_serve.add_argument("--wire-format",
-                         choices=("auto", "json", "binary"),
-                         default="auto",
-                         help="shard-fleet codec preference: auto "
-                              "negotiates packed binary frames when both "
-                              "ends can, json forces JSON lines, binary "
-                              "fails the handshake on a JSON-only fleet "
-                              "(default: auto)")
     p_serve.add_argument("--metrics-port", type=int, default=None,
                          help="expose a Prometheus scrape endpoint on "
                               "this HTTP port (0 binds an ephemeral one; "
@@ -661,12 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard.add_argument("--host", default="127.0.0.1")
     p_shard.add_argument("--port", type=int, default=None,
                          help="TCP port (default: 8650 + shard id)")
-    p_shard.add_argument("--wire-format",
-                         choices=("auto", "json", "binary"),
-                         default="auto",
-                         help="codecs offered at the hello handshake: "
-                              "auto prefers packed binary frames, json "
-                              "forces JSON lines (default: auto)")
     p_shard.add_argument("--log-format", choices=("text", "json"),
                          default="text",
                          help="structured stderr logging for the shard "

@@ -394,8 +394,9 @@ class FrozenConstraintIndex(BaseConstraintIndex):
 
     def _build_kernel(self) -> tuple:
         from repro.errors import ArtifactCorrupt
-        from repro.util.arrays import as_int64, pack_matrix, require_numpy
-        np = require_numpy()
+        import numpy as np
+
+        from repro.util.arrays import as_int64, pack_matrix
         arity = len(self.constraint.source)
         # Take a local reference: the lazy dict decode nulls _raw_buffers
         # after publishing _entry_data, and either source is valid.
@@ -448,8 +449,9 @@ class FrozenConstraintIndex(BaseConstraintIndex):
         :mod:`repro.core.kernels`), unlike :meth:`fetch` which records
         unconditionally when given stats.
         """
-        from repro.util.arrays import pack_matrix, require_numpy
-        np = require_numpy()
+        import numpy as np
+
+        from repro.util.arrays import pack_matrix
         packed_keys, payload_ptr, payload, arity, num_keys = \
             self.kernel_buffers()
         n = len(combos)

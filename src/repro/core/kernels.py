@@ -32,11 +32,12 @@ Everything here requires a frozen session: a
 or memoryview buffers become zero-copy ndarray views) and
 :class:`~repro.constraints.index.FrozenConstraintIndex` payload buffers.
 :func:`can_vectorize` is the gate the engine's ``executor="auto"``
-selection uses; without numpy the module still imports and the engine
-falls back to the sequential path.
+selection uses; a mutable session falls back to the sequential path.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.accounting import AccessStats
 from repro.constraints.index import SchemaIndex
@@ -55,19 +56,11 @@ from repro.core.plan import EDGE_VIA_INDEX, EDGE_VIA_PROBE, QueryPlan
 from repro.errors import EngineError, PlanError, UnverifiableEdge
 from repro.graph.frozen import FrozenGraph
 from repro.graph.graph import Graph
-from repro.util.arrays import (
-    HAVE_NUMPY,
-    in_sorted,
-    pack_matrix,
-    take_segments,
-)
+from repro.util.arrays import in_sorted, pack_matrix, take_segments
 
-if HAVE_NUMPY:
-    import numpy as np
-
-    # numpy's first np.unique call lazily imports numpy.ma (~20ms); force
-    # it at import time so no query pays it as first-execution latency.
-    np.unique(np.empty(0, dtype=np.int64))
+# numpy's first np.unique call lazily imports numpy.ma (~20ms); force it
+# at import time so no query pays it as first-execution latency.
+np.unique(np.empty(0, dtype=np.int64))
 
 #: Range operators with an exact float64 equivalent (see GraphKernel.
 #: predicate_mask). ``!=`` is excluded: ``"str" != 5`` is True in the
@@ -79,8 +72,8 @@ _RANGE_OPS = frozenset(("<", "<=", ">", ">="))
 
 def can_vectorize(schema_index) -> bool:
     """True when ``schema_index`` can serve the vectorized executor:
-    numpy importable, CSR graph snapshot, all-frozen indexes."""
-    return (HAVE_NUMPY and schema_index is not None
+    CSR graph snapshot, all-frozen indexes."""
+    return (schema_index is not None
             and isinstance(schema_index.graph, FrozenGraph)
             and getattr(schema_index, "frozen", False))
 
@@ -572,8 +565,8 @@ def execute_plan_vectorized(plan: QueryPlan, schema_index: SchemaIndex,
         raise PlanError(f"unknown edge mode {edge_mode!r}")
     if not can_vectorize(schema_index):
         raise EngineError(
-            "vectorized execution needs numpy plus a frozen session "
-            "(FrozenGraph snapshot and frozen constraint indexes)")
+            "vectorized execution needs a frozen session (FrozenGraph "
+            "snapshot and frozen constraint indexes)")
     context = kernel_context(schema_index)
     kernel = context.graph_kernel
     graph = schema_index.graph
@@ -701,7 +694,6 @@ def run_shard_task_vectorized(graph, schema_index, owned: frozenset,
 
 __all__ = [
     "GraphKernel",
-    "HAVE_NUMPY",
     "KernelContext",
     "can_vectorize",
     "execute_plan_vectorized",

@@ -230,9 +230,9 @@ class QueryEngine:
     executor:
         Plan-execution strategy: ``"auto"`` (default) runs the numpy
         array-kernel executor (:mod:`repro.core.kernels`) whenever the
-        session qualifies — numpy importable, frozen CSR snapshot,
-        frozen indexes — and the sequential executor otherwise;
-        ``"sequential"`` / ``"vectorized"`` force one of the two
+        session qualifies — frozen CSR snapshot, frozen indexes — and
+        the sequential executor otherwise; ``"sequential"`` /
+        ``"vectorized"`` force one of the two
         (forcing ``"vectorized"`` on a session that cannot run it
         raises). Answers, ``G_Q`` and access accounting are identical
         under every strategy.
@@ -312,11 +312,10 @@ class QueryEngine:
         capable = kernels.can_vectorize(self._schema_index)
         if executor == "vectorized":
             if not capable:
-                reason = "numpy is not installed" if not kernels.HAVE_NUMPY \
-                    else "the session is not frozen (vectorized kernels " \
-                         "run over CSR snapshot buffers)"
                 raise EngineError(
-                    f"executor='vectorized' is unavailable: {reason}")
+                    "executor='vectorized' is unavailable: the session is "
+                    "not frozen (vectorized kernels run over CSR snapshot "
+                    "buffers)")
             return "vectorized"
         return "vectorized" if capable else "sequential"
 

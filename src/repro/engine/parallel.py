@@ -34,11 +34,11 @@ Three implementations live here:
 * :class:`RemoteShardBackend` — shards held by standalone ``repro
   shard-serve`` processes (:mod:`repro.server.shardserver`), reached
   over the wire protocol of :mod:`repro.server.protocol` (packed binary
-  frames when the hello handshake negotiates them, JSON lines
-  otherwise). The front-end holds no graph at all; it multiplexes one
-  wave's tasks per connection round, with connect/read timeouts,
-  bounded retry with backoff on transient faults, and typed
-  :class:`~repro.errors.ShardUnavailable` errors once retries exhaust.
+  frames for scatter rounds, JSON lines for control ops). The front-end
+  holds no graph at all; it multiplexes one wave's tasks per connection
+  round, with connect/read timeouts, bounded retry with backoff on
+  transient faults, and typed :class:`~repro.errors.ShardUnavailable`
+  errors once retries exhaust.
 
 Thread safety: the in-process backends serialize ``scatter`` rounds
 (inline excepted — frozen reads need none). The remote backend is
@@ -92,9 +92,9 @@ class ShardRuntime:
 
     def handle(self, task: tuple):
         # Shard graphs are CSR snapshots, so the probe/edge tasks run on
-        # the array kernels when numpy is available; responses are
-        # identical either way (see run_shard_task_vectorized).
-        if kernels.HAVE_NUMPY and isinstance(self.graph, FrozenGraph):
+        # the array kernels; responses are identical to the scalar path
+        # (see run_shard_task_vectorized).
+        if isinstance(self.graph, FrozenGraph):
             if self._owned_sorted is None:
                 self._owned_sorted = kernels.sorted_id_array(self.owned)
             return kernels.run_shard_task_vectorized(
@@ -610,30 +610,18 @@ class _ScatterEncoder:
 
     A broadcast (or any routing that sends one task list to several
     shards) used to re-encode the identical task list per shard; this
-    caches the heavy parts — the JSON ``tasks`` array fragment, or the
-    binary ``tasks_meta`` fragment plus the packed payload section —
-    keyed by (codec, task-index tuple), and splices the tiny per-shard
-    envelope (``id``, ``op``, ``trace``) around the cached bytes at send
-    time. Encoding cost is therefore paid once per *distinct* task list,
-    not once per shard.
+    caches the heavy parts — the ``tasks_meta`` header fragment plus the
+    packed payload section — keyed by task-index tuple, and splices the
+    tiny per-shard envelope (``id``, ``op``, ``trace``) around the cached
+    bytes at send time. Encoding cost is therefore paid once per
+    *distinct* task list, not once per shard.
     """
 
-    __slots__ = ("tasks", "_json", "_binary")
+    __slots__ = ("tasks", "_binary")
 
     def __init__(self, tasks: list[tuple]):
         self.tasks = tasks
-        self._json: dict[tuple, bytes] = {}
         self._binary: dict[tuple, tuple[bytes, bytes]] = {}
-
-    def _json_fragment(self, key: tuple) -> bytes:
-        fragment = self._json.get(key)
-        if fragment is None:
-            from repro.server import protocol
-            fragment = json.dumps(
-                [protocol.encode_task(self.tasks[i]) for i in key],
-                separators=(",", ":")).encode("utf-8")
-            self._json[key] = fragment
-        return fragment
 
     def _binary_parts(self, key: tuple) -> tuple[bytes, bytes]:
         parts = self._binary.get(key)
@@ -646,15 +634,13 @@ class _ScatterEncoder:
             self._binary[key] = parts
         return parts
 
-    def encode(self, codec: str, key: tuple, envelope: dict) -> bytes:
+    def encode(self, key: tuple, envelope: dict) -> bytes:
         """One shard's complete scatter frame bytes."""
         from repro.server import protocol
         head = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
-        if codec == protocol.CODEC_BINARY:
-            metas, payload = self._binary_parts(key)
-            header = head[:-1] + b',"tasks_meta":' + metas + b"}"
-            return protocol.binary_frame(header, payload)
-        return head[:-1] + b',"tasks":' + self._json_fragment(key) + b"}\n"
+        metas, payload = self._binary_parts(key)
+        header = head[:-1] + b',"tasks_meta":' + metas + b"}"
+        return protocol.binary_frame(header, payload)
 
 
 class _PendingRequest:
@@ -687,7 +673,7 @@ class _ShardConn:
     """
 
     __slots__ = ("addr", "host", "port", "sock", "file", "shard_id",
-                 "next_id", "codec", "bytes_sent", "bytes_received",
+                 "next_id", "bytes_sent", "bytes_received",
                  "encode_s", "lock", "cond", "pending", "reader",
                  "fail_streak", "inflight_peak")
 
@@ -698,7 +684,6 @@ class _ShardConn:
         self.file = None
         self.shard_id: int | None = None
         self.next_id = 0
-        self.codec: str | None = None
         self.bytes_sent = 0
         self.bytes_received = 0
         self.encode_s = 0.0
@@ -716,16 +701,8 @@ class _ShardConn:
     def send(self, doc: dict) -> int:
         from repro.server import protocol
         self.next_id += 1
-        scatter = doc.get("_scatter")
         started = time.perf_counter()
-        if scatter is not None:
-            encoder, key = scatter
-            envelope = {"id": self.next_id,
-                        **{k: v for k, v in doc.items() if k != "_scatter"}}
-            data = encoder.encode(self.codec or protocol.CODEC_JSON, key,
-                                  envelope)
-        else:
-            data = protocol.encode({"id": self.next_id, **doc})
+        data = protocol.encode({"id": self.next_id, **doc})
         self.encode_s += time.perf_counter() - started
         self.sock.sendall(data)
         self.bytes_sent += len(data)
@@ -795,16 +772,10 @@ class RemoteShardBackend(ShardBackend):
                  connect_timeout: float = 5.0,
                  request_timeout: float = 30.0,
                  retries: int = 2, retry_backoff_s: float = 0.1,
-                 owner_routing: bool = True, wire_format: str = "auto"):
+                 owner_routing: bool = True):
         from repro.engine import persist
-        from repro.server import protocol
 
         super().__init__(schema)
-        if wire_format not in protocol.WIRE_FORMATS:
-            raise EngineError(
-                f"wire_format must be one of {protocol.WIRE_FORMATS}, "
-                f"got {wire_format!r}")
-        self.wire_format = wire_format
         self._artifact_path = artifact_path
         if manifest is None:
             manifest = persist.read_sharded_manifest(artifact_path)
@@ -884,7 +855,6 @@ class RemoteShardBackend(ShardBackend):
                 "op": "hello",
                 "protocol": protocol.PROTOCOL_VERSION,
                 "format_version": self._expected["format_version"],
-                "codecs": protocol.supported_codecs(self.wire_format),
             })
         except _TRANSIENT as exc:
             conn.close()
@@ -917,26 +887,6 @@ class RemoteShardBackend(ShardBackend):
                 f"shard {shard_id} (manifest checksum mismatch); "
                 f"re-deploy the fleet from this artifact", addr=conn.addr,
                 found=hello.get("manifest_sha256"), expected=expected_sha)
-        codec = hello.get("codec") or protocol.CODEC_JSON
-        if codec not in protocol.supported_codecs(self.wire_format):
-            conn.close()
-            raise ShardHandshakeMismatch(
-                f"shard server {conn.addr} negotiated codec {codec!r}, "
-                f"which this front-end (wire_format={self.wire_format!r}) "
-                f"does not speak", addr=conn.addr, found=codec,
-                expected=protocol.supported_codecs(self.wire_format))
-        if self.wire_format == "binary" and protocol.binary_supported() \
-                and codec != protocol.CODEC_BINARY:
-            # "binary" is a demand, not a preference: a JSON-only server
-            # is a deployment mismatch, not something to paper over.
-            conn.close()
-            raise ShardHandshakeMismatch(
-                f"shard server {conn.addr} cannot speak the binary codec "
-                f"this front-end requires (wire_format='binary'); "
-                f"upgrade the server or use --wire-format auto",
-                addr=conn.addr, found=codec,
-                expected=[protocol.CODEC_BINARY])
-        conn.codec = codec
         conn.shard_id = shard_id
         return hello
 
@@ -972,8 +922,7 @@ class RemoteShardBackend(ShardBackend):
                 encoder, key = scatter
                 envelope = {"id": rid, **{k: v for k, v in doc.items()
                                           if k != "_scatter"}}
-                data = encoder.encode(conn.codec or protocol.CODEC_JSON,
-                                      key, envelope)
+                data = encoder.encode(key, envelope)
             else:
                 data = protocol.encode({"id": rid, **doc})
             conn.encode_s += time.perf_counter() - started
@@ -1214,24 +1163,16 @@ class RemoteShardBackend(ShardBackend):
         values aligned with the task indices it was sent."""
         from repro.server import protocol
 
-        if "responses_meta" in result:
+        metas = result.get("responses_meta")
+        if isinstance(metas, list):
             decoded = protocol.decode_shard_responses_binary(
-                result["responses_meta"],
-                getattr(result, "payloads", ()),
+                metas, getattr(result, "payloads", ()),
                 expected_kinds=kinds)
-            if len(decoded) != len(kinds):
-                raise ShardProtocolError(
-                    f"shard {conn.addr}: scatter response does not "
-                    f"align with the {len(kinds)} tasks sent",
-                    addr=conn.addr)
-            return decoded
-        payload = result.get("responses")
-        if not isinstance(payload, list) or len(payload) != len(kinds):
-            raise ShardProtocolError(
-                f"shard {conn.addr}: scatter response does not align "
-                f"with the {len(kinds)} tasks sent", addr=conn.addr)
-        return [protocol.decode_shard_response(kind, encoded)
-                for kind, encoded in zip(kinds, payload)]
+            if len(decoded) == len(kinds):
+                return decoded
+        raise ShardProtocolError(
+            f"shard {conn.addr}: scatter response does not align with "
+            f"the {len(kinds)} tasks sent", addr=conn.addr)
 
     def scatter_submit(self, tasks: list[tuple],
                        shard_sets: list | None = None,
@@ -1384,19 +1325,6 @@ class RemoteShardBackend(ShardBackend):
                  if k not in ("id", "ok")}
                 for shard_id in self._shard_ids]
 
-    @property
-    def wire_codec(self) -> str:
-        """The fleet-wide negotiated codec: ``binary``/``json`` when the
-        shards agree (the normal case), ``mixed`` during a rolling
-        upgrade."""
-        from repro.server import protocol
-        codecs = {self._conns[shard_id].codec or protocol.CODEC_JSON
-                  for shard_id in self._shard_ids
-                  if shard_id in self._conns}
-        if len(codecs) == 1:
-            return codecs.pop()
-        return "mixed" if codecs else protocol.CODEC_JSON
-
     def wire_stats(self) -> list[dict]:
         """Per-shard client-side wire counters, in shard order — a local
         read, no fleet round-trip."""
@@ -1406,7 +1334,6 @@ class RemoteShardBackend(ShardBackend):
             if conn is None:
                 continue
             out.append({"shard_id": shard_id, "addr": conn.addr,
-                        "codec": conn.codec or "json",
                         "bytes_sent": conn.bytes_sent,
                         "bytes_received": conn.bytes_received,
                         "encode_ms": round(conn.encode_s * 1000.0, 3),

@@ -567,7 +567,7 @@ def load_engine(path, *, frozen: bool = True, validate: bool = False,
                 connect_timeout: float = 5.0,
                 request_timeout: float = 30.0,
                 retries: int = 2, retry_backoff_s: float = 0.1,
-                owner_routing: bool = True, wire_format: str = "auto",
+                owner_routing: bool = True,
                 scatter_pipeline: bool = True):
     """Open a :class:`~repro.engine.engine.QueryEngine` from an artifact.
 
@@ -604,9 +604,6 @@ def load_engine(path, *, frozen: bool = True, validate: bool = False,
     (default) infers ``remote`` when ``shard_addrs`` is non-empty and
     ``process`` when ``workers`` is. ``owner_routing=False`` disables
     owner-filtered scatter (broadcast every task — the reference mode).
-    ``wire_format`` picks the remote codecs offered at the handshake
-    (``auto``/``json``/``binary``; see
-    :class:`~repro.engine.parallel.RemoteShardBackend`).
 
     ``executor`` picks the plan executor for unsharded or merged serving
     (see :class:`~repro.engine.engine.QueryEngine`). ``workers`` and
@@ -650,7 +647,6 @@ def load_engine(path, *, frozen: bool = True, validate: bool = False,
                                     retries=retries,
                                     retry_backoff_s=retry_backoff_s,
                                     owner_routing=owner_routing,
-                                    wire_format=wire_format,
                                     scatter_pipeline=scatter_pipeline)
     if workers:
         raise EngineError(
@@ -1054,7 +1050,6 @@ def _load_sharded_engine(path: Path, manifest: dict, *, validate: bool,
                          request_timeout: float = 30.0,
                          retries: int = 2, retry_backoff_s: float = 0.1,
                          owner_routing: bool = True,
-                         wire_format: str = "auto",
                          scatter_pipeline: bool = True):
     from repro.engine.engine import QueryEngine
     from repro.engine.parallel import (
@@ -1149,8 +1144,7 @@ def _load_sharded_engine(path: Path, manifest: dict, *, validate: bool,
                                     request_timeout=request_timeout,
                                     retries=retries,
                                     retry_backoff_s=retry_backoff_s,
-                                    owner_routing=owner_routing,
-                                    wire_format=wire_format)
+                                    owner_routing=owner_routing)
     elif workers:
         shards = ProcessShardBackend(path, range(num_shards), schema,
                                      workers=workers,

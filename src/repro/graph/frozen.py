@@ -146,8 +146,7 @@ class FrozenGraph(GraphView):
         way ``np.frombuffer`` aliases the existing bytes, nothing is
         copied. The views alias immutable storage: treat as read-only.
         """
-        from repro.util.arrays import as_int64, require_numpy
-        require_numpy()
+        from repro.util.arrays import as_int64
         return {"ids": as_int64(self._ids),
                 "out_ptr": as_int64(self._out_ptr),
                 "out_dst": as_int64(self._out_dst),

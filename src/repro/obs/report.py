@@ -104,7 +104,6 @@ def render_metrics_table(snapshot: dict) -> str:
 
     if wire:
         _rows("wire", [
-            ("codec", wire.get("codec")),
             ("bytes_sent", wire.get("bytes_sent")),
             ("bytes_received", wire.get("bytes_received")),
             ("encode_ms", wire.get("encode_ms")),
@@ -131,15 +130,10 @@ def render_metrics_table(snapshot: dict) -> str:
               out)
         if shard_wire:
             _rows(f"shard[{shard_id}].wire", [
-                ("format", shard_wire.get("format")),
                 ("bytes_received", shard_wire.get("bytes_received")),
                 ("bytes_sent", shard_wire.get("bytes_sent")),
                 ("binary_frames_received",
                  shard_wire.get("binary_frames_received")),
-                ("negotiations",
-                 ",".join(f"{codec}:{count}" for codec, count in
-                          sorted((shard_wire.get("negotiations")
-                                  or {}).items()))),
             ], out)
 
     tracing = get("tracing") or {}

@@ -4,23 +4,20 @@ Every request and response is one *frame*. Two framings coexist on the
 same port, distinguished by the first byte:
 
 * **JSON lines** — one JSON object on one ``\\n``-terminated line
-  (UTF-8). The first byte is always ``{`` (0x7B). This is the
-  compatibility framing every peer speaks.
+  (UTF-8). The first byte is always ``{`` (0x7B). Queries and every
+  shard control op (``hello``, ``extension_stats``, ``extend``,
+  ``ping``, ``metrics``, ``reload``, ``shutdown``) use this framing.
 * **Binary frames** — :data:`BINARY_MAGIC` (first byte 0xAB, which can
   never begin a JSON line), two big-endian ``u32`` lengths, a JSON
   header, and a packed payload section of length-prefixed byte buffers
-  (:func:`encode_payload`). The header carries the same fields a JSON
-  frame would, except that bulk int arrays (scatter frontiers, index
+  (:func:`encode_payload`). Shard ``scatter`` requests and responses
+  always use this framing: bulk int arrays (scatter frontiers, index
   payloads, probe pairs) live in the payload buffers as packed little-
   endian integers produced by ``ndarray.tobytes()`` and re-adopted with
   ``np.frombuffer`` — no per-element encode/decode loops.
 
-Which framing a peer *sends* is negotiated at the ``hello`` handshake:
-the client advertises ``codecs`` (preference order), the server answers
-with the chosen ``codec``; a peer that predates the field (or a build
-without numpy) transparently negotiates down to JSON. Replies always
-use the framing of their request, so a mixed conversation stays
-unambiguous frame by frame.
+Replies always use the framing of their request, so a mixed
+conversation stays unambiguous frame by frame.
 
 Requests carry an ``op`` and an optional client-chosen ``id`` that the
 response echoes, so a client may pipeline requests. Two services speak
@@ -54,6 +51,8 @@ import struct
 import time
 from itertools import chain
 
+import numpy as np
+
 from repro.util import arrays
 from repro.errors import (
     AdmissionRejected,
@@ -67,11 +66,12 @@ from repro.errors import (
     ShardUnavailable,
 )
 
-#: Version of the JSON-lines protocol itself. Bumped on incompatible
-#: framing or op-contract changes; the shard handshake (``hello``)
-#: requires exact agreement so a mixed deployment fails loudly at
-#: connect instead of corrupting answers mid-wave.
-PROTOCOL_VERSION = 1
+#: Version of the protocol itself. Bumped on incompatible framing or
+#: op-contract changes; the shard handshake (``hello``) requires exact
+#: agreement so a mixed deployment fails loudly at connect instead of
+#: corrupting answers mid-wave. Version 2 made the binary frame the only
+#: encoding of ``scatter``.
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one request/response line; a longer line is a protocol
 #: error (keeps a misbehaving peer from ballooning server memory).
@@ -95,13 +95,6 @@ BINARY_MAGIC = b"\xabRW1"
 _BINARY_HEAD = struct.Struct(">4sII")  # magic, header_len, payload_len
 _U32 = struct.Struct(">I")
 
-#: Codec names as negotiated in the ``hello`` handshake.
-CODEC_JSON = "json"
-CODEC_BINARY = "binary"
-
-#: Valid values of the user-facing ``--wire-format`` knob.
-WIRE_FORMATS = ("auto", "json", "binary")
-
 #: Default TCP port of ``repro serve`` (0x21C2 would be too cute; this is
 #: just an unassigned high port).
 DEFAULT_PORT = 8642
@@ -117,15 +110,17 @@ def encode(doc: dict) -> bytes:
 
 
 def decode(line: bytes) -> dict:
-    """Parse one line into a dict; raises :class:`ServerError` on junk."""
+    """Parse one line into a dict; raises :class:`ShardProtocolError`
+    (a :class:`ServerError`) on an overlong line or junk."""
     if len(line) > MAX_LINE_BYTES:
-        raise ServerError(f"protocol line exceeds {MAX_LINE_BYTES} bytes")
+        raise ShardProtocolError(
+            f"protocol frame exceeds {MAX_LINE_BYTES} bytes")
     try:
         doc = json.loads(line)
     except ValueError as exc:
-        raise ServerError(f"malformed protocol line: {exc}") from exc
+        raise ShardProtocolError(f"malformed protocol line: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ServerError(
+        raise ShardProtocolError(
             f"protocol line must be a JSON object, got {type(doc).__name__}")
     return doc
 
@@ -148,42 +143,6 @@ class Frame(dict):
         self.payloads = list(payloads)
         self.nbytes = nbytes
         self.binary = binary
-
-
-# --------------------------------------------------- codec negotiation
-
-def binary_supported() -> bool:
-    """True when this build can pack/unpack binary payloads (numpy)."""
-    return arrays.HAVE_NUMPY
-
-
-def supported_codecs(wire_format: str = "auto") -> list[str]:
-    """The codecs this peer offers/accepts, preference order first.
-
-    ``json`` forces the compatibility codec; ``auto`` and ``binary``
-    prefer binary when numpy is available. A build without numpy always
-    returns ``["json"]`` — it cannot adopt packed buffers, whatever the
-    knob says.
-    """
-    if wire_format not in WIRE_FORMATS:
-        raise ValueError(f"wire_format must be one of {WIRE_FORMATS}, "
-                         f"got {wire_format!r}")
-    if wire_format == "json" or not binary_supported():
-        return [CODEC_JSON]
-    return [CODEC_BINARY, CODEC_JSON]
-
-
-def choose_codec(client_codecs, server_codecs) -> str:
-    """Server-side pick: the client's first preference the server also
-    speaks. A client that predates the ``codecs`` hello field (or sent
-    junk) gets JSON — the transparent negotiate-down path.
-    """
-    if not isinstance(client_codecs, (list, tuple)):
-        return CODEC_JSON
-    for codec in client_codecs:
-        if codec in server_codecs:
-            return codec
-    return CODEC_JSON
 
 
 # ----------------------------------------------------- binary framing
@@ -266,12 +225,11 @@ def read_frame(file) -> Frame:
 
     Raises :class:`EOFError` when the peer hung up cleanly *or* mid-
     frame (a truncated frame is indistinguishable from a death between
-    frames, and both are transient faults to a retrying caller);
-    :class:`ShardProtocolError` on framing violations — an overlong
-    frame, a bad magic/length prefix, a corrupt payload section (a peer
-    speaking garbage is not transient, and the bounded reads mean it
-    cannot balloon server memory either); and :class:`ServerError` on a
-    well-framed line that is not a JSON object.
+    frames, and both are transient faults to a retrying caller), and
+    :class:`ShardProtocolError` on every framing violation — an overlong
+    frame, a bad magic/length prefix, a corrupt payload section, a line
+    that is not a JSON object (a peer speaking garbage is not transient,
+    and the bounded reads mean it cannot balloon server memory either).
     """
     first = file.read(1)
     if not first:
@@ -424,7 +382,7 @@ def encode_trace(span) -> dict:
     """The trace-context wire field: ``{"trace_id", "span_id"}``.
 
     An *optional, additive* request field — a peer that predates it
-    ignores unknown keys, so PROTOCOL_VERSION stays unbumped. Carried on
+    ignores unknown keys, so it needs no PROTOCOL_VERSION bump. Carried on
     shard-server requests so a front-end span tree and the shard's
     request log share one trace id (see :mod:`repro.obs.trace`).
     """
@@ -449,85 +407,23 @@ def is_repro_error(exc: Exception) -> bool:
     return isinstance(exc, ReproError)
 
 
-# ------------------------------------------------------- shard task codecs
+# ------------------------------------------------------ shard task codecs
 # The scatter-gather task/response tuples (see repro.core.executor) cross
-# the shard-server wire as JSON. JSON has no tuples and no int dict keys,
-# so the codecs below normalize both directions; the decoded shapes are
-# element-for-element identical to what InlineShardBackend produces —
-# answers, G_Q and AccessStats must not be able to tell the backends
-# apart. Both ends share these functions, so a representation change is
-# a single edit (plus a PROTOCOL_VERSION bump).
-
-def encode_task(task: tuple) -> list:
-    """One scatter task as a JSON-safe list (tuples become arrays)."""
-    kind = task[0]
-    if kind == "probe":
-        _, a_nodes, b_nodes = task
-        return ["probe", list(a_nodes), list(b_nodes)]
-    _, cpos, combos = task
-    return [kind, cpos, [list(combo) for combo in combos]]
-
-
-def decode_task(doc) -> tuple:
-    """Inverse of :func:`encode_task`; shard-side index lookups key on
-    tuples, so combos re-tuple-ify here."""
-    try:
-        kind = doc[0]
-        if kind == "probe":
-            return ("probe", [int(v) for v in doc[1]],
-                    [int(v) for v in doc[2]])
-        if kind in ("fetch", "edge"):
-            return (kind, int(doc[1]),
-                    [tuple(int(v) for v in combo) for combo in doc[2]])
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ServerError(f"malformed shard task: {exc}") from exc
-    raise ServerError(f"unknown shard task kind {doc[:1]!r}")
-
-
-def encode_shard_response(kind: str, response) -> list:
-    """One task's shard-local response as a JSON-safe value."""
-    if kind == "fetch":
-        payloads, info = response
-        return [[list(p) for p in payloads],
-                [[v, label, value] for v, (label, value) in info.items()]]
-    if kind == "edge":
-        return [[[w, [list(pair) for pair in flags]] for w, flags in entries]
-                for entries in response]
-    checked, found = response
-    return [checked, [list(pair) for pair in found]]
-
-
-def decode_shard_response(kind: str, doc):
-    """Inverse of :func:`encode_shard_response`, restoring the exact
-    in-memory shapes the scatter executor merges: int node ids, tuple
-    edge flags, hashable probe pairs."""
-    try:
-        if kind == "fetch":
-            payloads, info = doc
-            return ([[int(v) for v in p] for p in payloads],
-                    {int(v): (label, value) for v, label, value in info})
-        if kind == "edge":
-            return [[(int(w), tuple((bool(f), bool(b)) for f, b in flags))
-                     for w, flags in entries] for entries in doc]
-        checked, found = doc
-        return int(checked), [(int(a), int(b)) for a, b in found]
-    except (TypeError, ValueError) as exc:
-        raise ServerError(f"malformed shard response: {exc}") from exc
-
-
-# ------------------------------------------------ binary shard codecs
-# The packed twins of encode_task/encode_shard_response for peers that
-# negotiated the binary codec. Each function returns (meta, buffers):
-# meta is a small JSON-safe skeleton riding in the frame header, and
-# every bulk int array rides in a payload buffer packed by
+# the shard-server wire in binary frames. Each function returns (meta,
+# buffers): meta is a small JSON-safe skeleton riding in the frame
+# header, and every bulk int array rides in a payload buffer packed by
 # arrays.pack_ints (ndarray.tobytes on encode, np.frombuffer over the
 # received memoryview on decode — no per-element Python loops). A
-# buffer reference in the meta is ``[dtype_code, buffer_index]``.
+# buffer reference in the meta is ``[dtype_code, buffer_index]``. The
+# decoded shapes are element-for-element identical to what
+# InlineShardBackend produces — answers, G_Q and AccessStats must not be
+# able to tell the backends apart. Both ends share these functions, so
+# a representation change is a single edit (plus a PROTOCOL_VERSION
+# bump).
 
 def encode_tasks_binary(tasks) -> tuple[list, list[bytes]]:
     """Pack scatter tasks: combos flatten into one ``(n, arity)`` int
     matrix buffer per task, probe frontiers into one buffer per side."""
-    np = arrays.require_numpy()
     metas: list = []
     buffers: list[bytes] = []
 
@@ -552,9 +448,8 @@ def encode_tasks_binary(tasks) -> tuple[list, list[bytes]]:
 
 def decode_tasks_binary(metas, payloads) -> list[tuple]:
     """Inverse of :func:`encode_tasks_binary`, adopting the payload
-    memoryviews in place and restoring the exact task tuples
-    :func:`decode_task` would produce."""
-    arrays.require_numpy()
+    memoryviews in place and restoring the exact task tuples: int node
+    ids, tuple combos (shard-side index lookups key on tuples)."""
 
     def pull(ref):
         code, index = ref
@@ -643,14 +538,13 @@ def encode_shard_responses_binary(kinds, responses) -> tuple[list, list]:
     fetch: per-combo payload lengths + flattened payload values as two
     buffers; the node-info dict packs as a label dictionary plus tag and
     number buffers keyed by the *derived* sorted distinct payload ids
-    (see :func:`_pack_fetch_info` — the dominant JSON cost of a fetch
+    (see :func:`_pack_fetch_info` — the dominant cost of a fetch
     wave), falling back to JSON ``[id, label, value]`` triples when its
     shape doesn't fit. edge: per-combo entry counts, flattened neighbour
     ids, and per-entry direction-flag bitmasks (bit ``2j`` = forward,
     ``2j+1`` = backward for combo member ``j``). probe: the found pairs
     as one ``(n, 2)`` buffer.
     """
-    np = arrays.require_numpy()
     metas: list = []
     buffers: list[bytes] = []
 
@@ -703,10 +597,9 @@ def encode_shard_responses_binary(kinds, responses) -> tuple[list, list]:
 def decode_shard_responses_binary(metas, payloads,
                                   expected_kinds=None) -> list:
     """Inverse of :func:`encode_shard_responses_binary`, restoring the
-    exact in-memory shapes :func:`decode_shard_response` produces (int
-    node ids, tuple edge flags, hashable probe pairs) so the merge in
-    the scatter executor cannot tell the codecs apart."""
-    np = arrays.require_numpy()
+    exact in-memory shapes a shard runtime returns (int node ids, tuple
+    edge flags, hashable probe pairs) so the merge in the scatter
+    executor cannot tell a remote shard from an inline one."""
 
     def pull(ref):
         code, index = ref

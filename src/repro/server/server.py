@@ -148,7 +148,7 @@ class QueryServer:
         write_lock = asyncio.Lock()
         # Per-connection framing state: each response goes out in the
         # framing of the request that is being answered, so a client
-        # that switches codecs mid-connection stays in sync.
+        # that switches framings mid-connection stays in sync.
         binary = False
         try:
             while True:

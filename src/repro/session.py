@@ -48,11 +48,7 @@ class SessionConfig:
     ``backend`` (``auto``/``inline``/``process``/``remote``) with the
     remote-fleet settings — ``shard_addrs`` (one ``host:port`` per
     shard, in shard order), the two timeouts, bounded retry
-    (``retries``/``retry_backoff_s``), ``owner_routing`` and
-    ``wire_format`` (``auto`` negotiates packed binary frames when both
-    ends can, ``json`` forces the compatibility codec, ``binary``
-    demands the packed codec and fails the handshake on a JSON-only
-    server).
+    (``retries``/``retry_backoff_s``) and ``owner_routing``.
     """
 
     frozen: bool = True
@@ -73,7 +69,6 @@ class SessionConfig:
     retries: int = 2
     retry_backoff_s: float = 0.1
     owner_routing: bool = True
-    wire_format: str = "auto"
     #: Scatter driver: True (default) runs the pipelined per-shard-
     #: progress executor; False forces the lock-step wave barrier (the
     #: reference mode the skewed-fleet benchmark compares against).
@@ -129,7 +124,6 @@ def connect(source, *, config: SessionConfig | None = None, **overrides):
             request_timeout=cfg.request_timeout, retries=cfg.retries,
             retry_backoff_s=cfg.retry_backoff_s,
             owner_routing=cfg.owner_routing,
-            wire_format=cfg.wire_format,
             scatter_pipeline=cfg.scatter_pipeline)
     if isinstance(source, tuple) and len(source) == 2:
         graph, schema = source

@@ -1,42 +1,20 @@
 """Zero-copy int64 views and sorted-array set primitives (numpy).
 
 Every vectorized code path in the library funnels through this module:
-it owns the *optional* numpy dependency (:data:`HAVE_NUMPY`), the
-zero-copy adaptation of ``array('q')``/memoryview buffers into int64
-ndarrays, and the packed-row encoding that turns fixed-arity int64 key
-tuples into scalars whose memcmp order equals signed lexicographic tuple
-order — which is what lets one ``np.searchsorted`` probe a multi-column
-key table sorted by ``sorted(entries)``.
-
-The library must import (and the sequential executor must run) without
-numpy installed, so ``import numpy`` is guarded here and nowhere else;
-callers gate on :data:`HAVE_NUMPY` or call :func:`require_numpy` for a
-loud, actionable error.
+it owns the zero-copy adaptation of ``array('q')``/memoryview buffers
+into int64 ndarrays, and the packed-row encoding that turns fixed-arity
+int64 key tuples into scalars whose memcmp order equals signed
+lexicographic tuple order — which is what lets one ``np.searchsorted``
+probe a multi-column key table sorted by ``sorted(entries)``.
 """
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
-
-#: True when numpy is importable; the vectorized executor, the kernel
-#: caches, and the CSR membership tests all gate on this.
-HAVE_NUMPY = np is not None
+import numpy as np
 
 #: XOR-ing the sign bit makes big-endian byte order agree with signed
 #: int64 order, so packed rows compare correctly via memcmp.
-_SIGN_BIT = np.int64(-2**63) if HAVE_NUMPY else None
-
-
-def require_numpy():
-    """Return the numpy module or raise a loud, actionable error."""
-    if np is None:
-        raise RuntimeError(
-            "numpy is required for vectorized execution but is not "
-            "installed; install numpy or use executor='sequential'")
-    return np
+_SIGN_BIT = np.int64(-2**63)
 
 
 def as_int64(buffer):
@@ -91,7 +69,6 @@ def pack_ints(values):
     :func:`unpack_ints` re-adopts them with ``np.frombuffer``. No
     per-element Python loop on either side.
     """
-    require_numpy()
     arr = np.asarray(values, dtype=np.int64).reshape(-1)
     code = "i8"
     if arr.size:
@@ -115,7 +92,6 @@ def unpack_ints(code, buffer):
     unknown dtype code or a buffer whose size is not a multiple of the
     item width (callers map it to their typed protocol error).
     """
-    require_numpy()
     dtype = _PACK_DTYPES.get(code)
     if dtype is None:
         raise ValueError(f"unknown packed dtype code {code!r}")
@@ -148,12 +124,10 @@ def take_segments(data, starts, lengths):
 
 
 __all__ = [
-    "HAVE_NUMPY",
     "as_int64",
     "in_sorted",
     "pack_ints",
     "pack_matrix",
-    "require_numpy",
     "unpack_ints",
     "take_segments",
 ]

@@ -16,9 +16,6 @@ from __future__ import annotations
 import random
 
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -1,22 +1,24 @@
-"""The binary scatter wire format: framing, packed codecs, negotiation.
+"""The binary scatter wire format: framing, packed codecs, versioning.
 
-Covers the wire-format PR's acceptance criteria at the unit level
-(frame layout round-trips, width-adaptive int packing, the packed
-task/response codecs restoring byte-identical shapes, encode-once
-scatter caching) and over live sockets (mixed-version interop where a
-binary-preferring client negotiates down against a JSON-only shard
-server, a no-numpy build negotiating JSON, strict ``wire_format=
-"binary"`` failing the handshake against a JSON-only fleet, and
-malformed/truncated binary frames answered with one typed error — no
-hang, clean close).
+Covers the wire format at the unit level (frame layout round-trips, one
+line cap and one error type for both frame readers, width-adaptive int
+packing, the packed task/response codecs restoring the exact in-memory
+shapes, encode-once scatter caching) and over live sockets (scatter
+riding binary frames, a protocol-1 peer failing the handshake, a
+JSON-lines scatter answered with a typed error, malformed/truncated
+frames answered with one typed error — no hang, clean close — and a
+malformed shard reply failing the query typed without killing the
+front-end's reader thread).
 """
 
 from __future__ import annotations
 
+import asyncio
 import io
 import json
 import socket
 import struct
+import threading
 
 import pytest
 
@@ -29,9 +31,6 @@ from repro.server.shardserver import ShardServer
 from repro.util import arrays
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
-
-needs_numpy = pytest.mark.skipif(not arrays.HAVE_NUMPY,
-                                 reason="binary codec requires numpy")
 
 CHEAP = parse_pattern("m: movie; y: year; m -> y")
 
@@ -55,8 +54,24 @@ def read_frame_bytes(data: bytes) -> protocol.Frame:
     return protocol.read_frame(io.BufferedReader(io.BytesIO(data)))
 
 
+def read_frame_bytes_async(data: bytes) -> protocol.Frame:
+    """:func:`protocol.read_frame_async` over a stream with the query
+    server's line limit."""
+    async def read():
+        reader = asyncio.StreamReader(limit=protocol.MAX_LINE_BYTES)
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await protocol.read_frame_async(reader)
+    return asyncio.run(read())
+
+
+def json_line(size: int) -> bytes:
+    """A newline-terminated JSON object line of exactly ``size`` bytes."""
+    head, tail = b'{"pad":"', b'"}\n'
+    return head + b"x" * (size - len(head) - len(tail)) + tail
+
+
 # ------------------------------------------------------------- packing
-@needs_numpy
 class TestPackInts:
     def test_width_adapts_to_value_range(self):
         assert arrays.pack_ints([0, 255])[0] == "u1"
@@ -156,46 +171,39 @@ class TestFraming:
         with pytest.raises(ShardProtocolError, match="bytes"):
             read_frame_bytes(data)
 
-
-# ------------------------------------------------------- codec negotiation
-class TestNegotiation:
-    def test_supported_codecs_by_knob(self):
-        if arrays.HAVE_NUMPY:
-            assert protocol.supported_codecs("auto") == ["binary", "json"]
-            assert protocol.supported_codecs("binary") == ["binary", "json"]
-        assert protocol.supported_codecs("json") == ["json"]
-        with pytest.raises(ValueError):
-            protocol.supported_codecs("msgpack")
-
-    def test_no_numpy_build_offers_json_only(self, monkeypatch):
-        monkeypatch.setattr(arrays, "HAVE_NUMPY", False)
-        assert not protocol.binary_supported()
-        for knob in protocol.WIRE_FORMATS:
-            assert protocol.supported_codecs(knob) == ["json"]
-
-    def test_choose_codec_prefers_client_order(self):
-        both = ["binary", "json"]
-        assert protocol.choose_codec(both, both) == "binary"
-        assert protocol.choose_codec(["json"], both) == "json"
-        assert protocol.choose_codec(both, ["json"]) == "json"
-
-    def test_choose_codec_degrades_on_legacy_or_junk(self):
-        both = ["binary", "json"]
-        assert protocol.choose_codec(None, both) == "json"       # old peer
-        assert protocol.choose_codec("binary", both) == "json"   # junk type
-        assert protocol.choose_codec(["msgpack"], both) == "json"
+    @pytest.mark.parametrize("read", [read_frame_bytes,
+                                      read_frame_bytes_async],
+                             ids=["sync", "async"])
+    @pytest.mark.parametrize("line", ["max", "max+1", "max+2",
+                                      "non-object"])
+    def test_both_readers_share_the_line_cap_and_error(self, read, line):
+        """Every overlong or malformed line is a ShardProtocolError in
+        either reader; a line of exactly MAX_LINE_BYTES is accepted."""
+        if line == "max":
+            frame = read(json_line(protocol.MAX_LINE_BYTES))
+            assert frame.nbytes == protocol.MAX_LINE_BYTES
+            return
+        if line == "non-object":
+            data, match = b"[1]\n", "JSON object"
+        else:
+            extra = int(line[-1])
+            data = json_line(protocol.MAX_LINE_BYTES + extra)
+            match = "exceeds"
+        with pytest.raises(ShardProtocolError, match=match):
+            read(data)
 
 
 # ---------------------------------------------------------- packed codecs
-@needs_numpy
 class TestBinaryCodecs:
+    """Round trips against the original in-memory tuples — the values
+    ``ShardRuntime.handle`` returns and ``InlineShardBackend`` passes
+    through unencoded."""
+
     def test_tasks_roundtrip_matches_json_codec(self):
         metas, buffers = protocol.encode_tasks_binary(TASKS)
         views = [memoryview(buf) for buf in buffers]
         decoded = protocol.decode_tasks_binary(metas, views)
-        expected = [protocol.decode_task(protocol.encode_task(t))
-                    for t in TASKS]
-        assert decoded == expected
+        assert decoded == TASKS
         # Exact shapes: ints (not numpy scalars), tuple combos.
         for task in decoded:
             if task[0] == "probe":
@@ -211,11 +219,7 @@ class TestBinaryCodecs:
         views = [memoryview(buf) for buf in buffers]
         decoded = protocol.decode_shard_responses_binary(
             metas, views, expected_kinds=KINDS)
-        expected = [protocol.decode_shard_response(
-            kind, json.loads(json.dumps(
-                protocol.encode_shard_response(kind, response))))
-            for kind, response in zip(KINDS, RESPONSES)]
-        assert decoded == expected
+        assert decoded == RESPONSES
         checked, pairs = decoded[0]
         assert type(checked) is int
         assert all(type(pair) is tuple for pair in pairs)
@@ -280,31 +284,22 @@ class TestBinaryCodecs:
 
 
 # ------------------------------------------------------ encode-once cache
-@needs_numpy
 class TestScatterEncoder:
     def test_heavy_parts_encoded_once_per_key(self):
         encoder = _ScatterEncoder(TASKS)
         key = (0, 1, 2, 3)
-        assert encoder._json_fragment(key) is encoder._json_fragment(key)
         assert encoder._binary_parts(key) is encoder._binary_parts(key)
 
     def test_spliced_frames_decode_per_codec(self):
         encoder = _ScatterEncoder(TASKS)
         key = (1, 3)
-        expected = [protocol.decode_task(protocol.encode_task(TASKS[i]))
-                    for i in key]
+        expected = [TASKS[i] for i in key]
         for shard_id in (0, 1):
             envelope = {"id": shard_id + 1, "op": "scatter"}
-            frame = read_frame_bytes(
-                encoder.encode(protocol.CODEC_BINARY, key, dict(envelope)))
+            frame = read_frame_bytes(encoder.encode(key, dict(envelope)))
             assert frame["id"] == shard_id + 1 and frame.binary
             assert protocol.decode_tasks_binary(
                 frame["tasks_meta"], frame.payloads) == expected
-            frame = read_frame_bytes(
-                encoder.encode(protocol.CODEC_JSON, key, dict(envelope)))
-            assert frame["id"] == shard_id + 1 and not frame.binary
-            assert [protocol.decode_task(doc)
-                    for doc in frame["tasks"]] == expected
 
 
 # ------------------------------------------------------------ live sockets
@@ -324,29 +319,17 @@ def answers(engine):
 
 
 class TestLiveNegotiation:
-    def test_binary_client_negotiates_down_to_json_server(self, artifact):
-        """Mixed-version interop: a binary-preferring front-end against a
-        JSON-only fleet transparently lands on JSON, answers intact."""
-        with connect(artifact, strategy="scatter") as inline:
-            expected = answers(inline)
-        servers = [ShardServer(artifact / f"shard-{i:04d}",
-                               wire_format="json").start()
-                   for i in range(2)]
-        try:
-            with connect(artifact, backend="remote",
-                         shard_addrs=[s.address for s in servers],
-                         wire_format="auto") as remote:
-                assert remote._shards.wire_codec == protocol.CODEC_JSON
-                assert answers(remote) == expected
-                for server in servers:
-                    assert server.codec_negotiations.get("json", 0) >= 1
-                    assert server.binary_frames_received == 0
-        finally:
-            for server in servers:
-                server.stop()
+    """What the hello handshake and a scatter round put on the wire."""
 
-    @needs_numpy
+    def _call(self, server, doc: dict) -> dict:
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10) as sock:
+            sock.sendall(protocol.encode(doc))
+            return protocol.decode(sock.makefile("rb").readline())
+
     def test_auto_negotiates_binary_and_counts_bytes(self, artifact):
+        """A default session's scatter rides binary frames, answers
+        intact, and every byte is counted on both ends."""
         with connect(artifact, strategy="scatter") as inline:
             expected = answers(inline)
         servers = [ShardServer(artifact / f"shard-{i:04d}").start()
@@ -354,10 +337,8 @@ class TestLiveNegotiation:
         try:
             with connect(artifact, backend="remote",
                          shard_addrs=[s.address for s in servers]) as remote:
-                assert remote._shards.wire_codec == protocol.CODEC_BINARY
                 assert answers(remote) == expected
                 stats = remote._shards.wire_stats()
-                assert [s["codec"] for s in stats] == ["binary", "binary"]
                 assert all(s["bytes_sent"] > 0 and s["bytes_received"] > 0
                            for s in stats)
             assert any(s.binary_frames_received > 0 for s in servers)
@@ -365,34 +346,35 @@ class TestLiveNegotiation:
             for server in servers:
                 server.stop()
 
-    @needs_numpy
-    def test_strict_binary_rejects_json_only_server(self, artifact):
-        server = ShardServer(artifact / "shard-0000",
-                             wire_format="json").start()
+    def test_protocol_1_hello_is_a_handshake_mismatch(self, artifact):
+        """A peer from before the binary-only scatter fails the hello
+        instead of sending a JSON scatter later."""
+        server = ShardServer(artifact / "shard-0000").start()
         try:
-            with pytest.raises(ShardHandshakeMismatch, match="codec"):
-                connect(artifact, backend="remote",
-                        shard_addrs=[server.address, server.address],
-                        wire_format="binary", retries=0)
+            response = self._call(server, {"id": 1, "op": "hello",
+                                           "protocol": 1})
         finally:
             server.stop()
+        assert response["ok"] is False
+        assert response["error"] == "ShardHandshakeMismatch"
+        assert response["found"] == 1
+        assert response["expected"] == protocol.PROTOCOL_VERSION == 2
+        with pytest.raises(ShardHandshakeMismatch):
+            protocol.raise_error(response)
 
-    def test_no_numpy_build_negotiates_json(self, artifact, monkeypatch):
-        """A front-end without numpy must land on JSON even against a
-        binary-capable fleet — whatever the knob says — and still get
-        identical answers."""
-        servers = [ShardServer(artifact / f"shard-{i:04d}").start()
-                   for i in range(2)]
-        monkeypatch.setattr(arrays, "HAVE_NUMPY", False)
+    def test_json_lines_scatter_is_a_typed_protocol_error(self, artifact):
+        server = ShardServer(artifact / "shard-0000").start()
         try:
-            with connect(artifact, backend="remote",
-                         shard_addrs=[s.address for s in servers],
-                         wire_format="binary") as remote:
-                assert remote._shards.wire_codec == protocol.CODEC_JSON
-                assert remote.query(CHEAP).answer is not None
+            response = self._call(server, {
+                "id": 2, "op": "scatter",
+                "tasks": [["probe", [1, 2], [3]]]})
+            assert server.tasks_handled == 0
         finally:
-            for server in servers:
-                server.stop()
+            server.stop()
+        assert response["ok"] is False
+        assert response["id"] == 2
+        assert response["error"] == "ShardProtocolError"
+        assert "tasks_meta" in response["message"]
 
 
 class TestLiveMalformedFrames:
@@ -471,3 +453,36 @@ class TestLiveMalformedFrames:
                         connect_timeout=2.0)
         finally:
             close()
+
+    def test_non_object_scatter_reply_is_typed(self, artifact,
+                                               monkeypatch):
+        """Shards that handshake truthfully and then answer a scatter
+        with a well-framed line that is not a JSON object fail the query
+        with ShardProtocolError; the front-end's reader threads exit
+        cleanly instead of dying on an uncaught exception."""
+        from tests.test_remote import (
+            fake_shard_server,
+            hello_fields_for,
+            make_scripted_handler,
+        )
+
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        fakes = [fake_shard_server(make_scripted_handler(
+            hello_fields_for(artifact, shard_id), b"[1]\n"))
+            for shard_id in range(2)]
+        try:
+            with connect(artifact, backend="remote",
+                         shard_addrs=[addr for addr, _ in fakes],
+                         retries=0, connect_timeout=2.0) as remote:
+                with pytest.raises(ShardProtocolError,
+                                   match="JSON object") as err:
+                    remote.query(CHEAP)
+                assert err.value.addr in [addr for addr, _ in fakes]
+                for conn in remote._shards._conns.values():
+                    if conn.reader is not None:
+                        conn.reader.join(timeout=5)
+        finally:
+            for _, close in fakes:
+                close()
+        assert uncaught == []
