@@ -710,7 +710,7 @@ def remote_skewed(dataset: str = "imdb", scale: float = 0.05,
       query in the batch, whether or not its own round needed shard 0;
     * ``remote_pipelined`` — the per-shard-progress driver (default):
       an execution pays shard 0's latency only for its *own* fetches
-      there, identical cells from different executions travel once
+      there, identical tasks from different executions travel once
       (cross-execution dedup), and multiple rounds ride one connection
       (request-id correlation + server read-ahead).
 
@@ -1012,7 +1012,7 @@ def obs_overhead(dataset: str = "imdb", scale: float = 0.05,
     the best loop, which suppresses scheduler noise that would swamp a
     single-digit-percent comparison.
     """
-    from repro.core import executor as executor_module
+    from repro.core import kernels as kernels_module
     from repro.engine import engine as engine_module
     from repro.obs.trace import TraceRecorder, activate
 
@@ -1053,13 +1053,13 @@ def obs_overhead(dataset: str = "imdb", scale: float = 0.05,
         def __exit__(self, *exc_info):
             return None
 
-    saved = (engine_module.child_span, executor_module.child_span)
+    saved = (engine_module.child_span, kernels_module.child_span)
     engine_module.child_span = _NullChildSpan
-    executor_module.child_span = _NullChildSpan
+    kernels_module.child_span = _NullChildSpan
     try:
         no_obs_qps = measure(plain)
     finally:
-        engine_module.child_span, executor_module.child_span = saved
+        engine_module.child_span, kernels_module.child_span = saved
 
     disabled_qps = measure(plain)
 

@@ -24,17 +24,14 @@ Node-phase and edge-phase memos are deliberately separate — an edge-phase
 fetch counts as edge examinations (the paper's Example 1 arithmetic), so
 folding the two would change what the numbers mean, not just their size.
 
-Two execution strategies share the phase logic and produce *identical*
-answers, candidate sets, ``G_Q`` and access accounting:
-
-* :func:`execute_plan` — sequential, against one
-  :class:`~repro.constraints.index.SchemaIndex`;
-* :func:`execute_plans_scatter` — scatter-gather over the shards of a
-  :class:`~repro.graph.partition.GraphPartition` (inline or in worker
-  processes, see :mod:`repro.engine.parallel`): each logical fetch is
-  scattered to every shard, per-shard payloads merge into the global
-  payload (disjoint by ownership), and many executions advance together
-  in waves so one worker round-trip carries a whole batch's work.
+This module is the *sequential* executor, the reference oracle:
+:func:`execute_plan` runs the plan against one
+:class:`~repro.constraints.index.SchemaIndex` with per-candidate Python
+loops. :mod:`repro.core.kernels` holds the array executor — the same
+phases as numpy batch kernels, run against the local frozen index
+(``execute_plan_vectorized``) or scattered over the shards of a
+partition (``execute_plans_scatter``); its answers, candidate sets,
+``G_Q`` and access accounting are identical to this one's.
 
 Correctness (``Q(G_Q) = Q(G)``) holds for both semantics because every
 candidate set is a superset of the true matches (fetch operations follow
@@ -45,7 +42,6 @@ the edge phase — see DESIGN.md for the argument, and the property tests in
 
 from __future__ import annotations
 
-import queue as _queue_mod
 from dataclasses import dataclass
 from itertools import product
 
@@ -54,7 +50,6 @@ from repro.constraints.index import SchemaIndex
 from repro.core.plan import EDGE_VIA_INDEX, EDGE_VIA_PROBE, QueryPlan
 from repro.errors import PlanError, UnverifiableEdge
 from repro.graph.graph import Graph
-from repro.obs.trace import child_span
 
 #: Executor edge-phase modes.
 MODE_PLAN = "plan"      # follow the plan's edge checks (default)
@@ -265,582 +260,3 @@ def _index_edge(check, candidates: dict[int, set[int]],
             else:
                 if graph.has_edge(w, vo):
                     edges_found.add((w, vo))
-
-
-# -------------------------------------------------------------- scatter-gather
-# Task tuples sent to every shard (see repro.engine.parallel for the
-# shard-side handler):
-#
-#   ("fetch", cpos, [combo, ...])  -> ([payload per combo],
-#                                      {id: (label, value)})
-#   ("edge",  cpos, [combo, ...])  -> [[(w, ((fwd, back) per member)), ...]
-#                                      per combo]
-#   ("probe", a_nodes, b_nodes)    -> (pairs_checked, [(va, vb), ...])
-#
-# ``cpos`` indexes the constraint in the schema's canonical iteration
-# order (stable across processes — the same trick persist.py uses for
-# plan encoding). Per-shard "fetch"/"edge" payloads contain only targets
-# the shard *owns*, so concatenating them reconstructs the global index
-# entry exactly; "probe" counts only pairs whose source the shard owns,
-# so the pair count sums to |A|x|B| exactly once.
-
-TASK_FETCH = "fetch"
-TASK_EDGE = "edge"
-TASK_PROBE = "probe"
-
-
-class _ScatterExecution:
-    """State machine for one plan execution driven in shared waves."""
-
-    __slots__ = ("plan", "stats", "edge_mode", "constraint_pos",
-                 "candidates", "node_memo", "edge_memo", "node_info",
-                 "edges_found", "op_idx", "phase", "pending_op",
-                 "pending_edges", "done")
-
-    def __init__(self, plan: QueryPlan, constraint_pos: dict,
-                 stats: AccessStats, edge_mode: str):
-        self.plan = plan
-        self.stats = stats
-        self.edge_mode = edge_mode
-        self.constraint_pos = constraint_pos
-        self.candidates: dict[int, set[int]] = {}
-        self.node_memo: dict[tuple, tuple[int, ...]] = {}
-        self.edge_memo: dict[tuple, list] = {}
-        self.node_info: dict[int, tuple] = {}
-        self.edges_found: set[tuple[int, int]] = set()
-        self.op_idx = 0
-        self.phase = "node"
-        self.pending_op = None        # (op, combos) awaiting fetch delivery
-        self.pending_edges = None     # list of edge checks / probe edges
-        self.done = False
-
-    # -- wave protocol -------------------------------------------------------
-    def next_tasks(self) -> list[tuple]:
-        """Advance through locally-satisfiable steps; return the scatter
-        tasks this execution needs before it can advance further (empty
-        when it just finished)."""
-        while not self.done:
-            if self.phase == "node":
-                tasks = self._node_tasks()
-            else:
-                tasks = self._edge_tasks()
-            if tasks is not None:
-                return tasks
-        return []
-
-    def deliver(self, task: tuple, shard_responses: list) -> None:
-        """Merge one task's per-shard responses (exactly once per task)."""
-        kind = task[0]
-        if kind == TASK_FETCH:
-            self._deliver_fetch(task, shard_responses)
-        elif kind == TASK_EDGE:
-            self._deliver_edge(task, shard_responses)
-        else:
-            self._deliver_probe(task, shard_responses)
-
-    # -- node phase ----------------------------------------------------------
-    def _node_tasks(self):
-        ops = self.plan.ops
-        while self.op_idx < len(ops):
-            op = ops[self.op_idx]
-            combos = [()] if op.is_initial else \
-                list(product(*_source_pools(op, self.candidates)))
-            cpos = self.constraint_pos[op.constraint]
-            missing = [c for c in combos
-                       if (cpos, c) not in self.node_memo]
-            if missing:
-                self.pending_op = (op, combos)
-                return [(TASK_FETCH, cpos, missing)]
-            self._complete_op(op, combos)
-        _check_coverage(self.plan, self.candidates)
-        self.phase = "edge"
-        return None
-
-    def _complete_op(self, op, combos) -> None:
-        cpos = self.constraint_pos[op.constraint]
-        raw: set[int] = set()
-        for combo in combos:
-            raw.update(self.node_memo[(cpos, combo)])
-        info = self.node_info
-        found = {v for v in raw if op.predicate.evaluate(info[v][1])}
-        if op.target in self.candidates:
-            self.candidates[op.target] &= found
-        else:
-            self.candidates[op.target] = found
-        self.op_idx += 1
-
-    def _deliver_fetch(self, task, shard_responses) -> None:
-        _, cpos, combos = task
-        merged_payloads = [[] for _ in combos]
-        for response in shard_responses:
-            if response is None:  # shard not routed this task
-                continue
-            payloads, info = response
-            for i, payload in enumerate(payloads):
-                merged_payloads[i].extend(payload)
-            self.node_info.update(info)
-        for combo, payload in zip(combos, merged_payloads):
-            merged = tuple(sorted(payload))
-            self.node_memo[(cpos, combo)] = merged
-            self.stats.record_fetch(merged)
-        if self.pending_op is not None:
-            op, op_combos = self.pending_op
-            self.pending_op = None
-            self._complete_op(op, op_combos)
-
-    # -- edge phase ----------------------------------------------------------
-    def _edge_tasks(self):
-        if self.pending_edges is None:
-            # All edge checks are independent given the final candidate
-            # sets, so the whole phase needs at most one wave.
-            if self.edge_mode == MODE_PROBE:
-                checks = [(EDGE_VIA_PROBE, edge)
-                          for edge in self.plan.pattern.edges()]
-            else:
-                checks = []
-                for check in self.plan.edge_checks:
-                    if check.mode == EDGE_VIA_PROBE:
-                        checks.append((EDGE_VIA_PROBE, check.edge))
-                    elif check.mode == EDGE_VIA_INDEX:
-                        checks.append((EDGE_VIA_INDEX, check))
-                    else:  # pragma: no cover - defensive
-                        raise UnverifiableEdge(
-                            f"unknown edge-check mode {check.mode!r}")
-            self.pending_edges = checks
-            tasks = []
-            missing_by_cpos: dict[int, list] = {}
-            seen_by_cpos: dict[int, set] = {}
-            for kind, item in checks:
-                if kind == EDGE_VIA_PROBE:
-                    a, b = item
-                    tasks.append((TASK_PROBE, sorted(self.candidates[a]),
-                                  sorted(self.candidates[b])))
-                else:
-                    # Validate geometry before scattering any work.
-                    _edge_check_geometry(item, self.candidates)
-                    cpos = self.constraint_pos[item.constraint]
-                    missing = missing_by_cpos.setdefault(cpos, [])
-                    seen = seen_by_cpos.setdefault(cpos, set())
-                    for combo in product(*_source_pools(item,
-                                                        self.candidates)):
-                        if (cpos, combo) not in self.edge_memo \
-                                and combo not in seen:
-                            seen.add(combo)
-                            missing.append(combo)
-            tasks.extend((TASK_EDGE, cpos, combos)
-                         for cpos, combos in missing_by_cpos.items() if combos)
-            if tasks:
-                return tasks
-        self._finalize_edges()
-        return None
-
-    def _deliver_edge(self, task, shard_responses) -> None:
-        _, cpos, combos = task
-        merged = [[] for _ in combos]
-        for payloads in shard_responses:
-            if payloads is None:  # shard not routed this task
-                continue
-            for i, payload in enumerate(payloads):
-                merged[i].extend(payload)
-        for combo, entries in zip(combos, merged):
-            entries.sort()
-            self.edge_memo[(cpos, combo)] = entries
-            self.stats.record_edge_fetch([w for w, _ in entries])
-
-    def _deliver_probe(self, task, shard_responses) -> None:
-        checked = 0
-        for response in shard_responses:
-            if response is None:  # shard not routed this task
-                continue
-            count, found = response
-            checked += count
-            self.edges_found.update(found)
-        self.stats.record_edge_checks(checked)
-
-    def _finalize_edges(self) -> None:
-        for kind, item in self.pending_edges:
-            if kind != EDGE_VIA_INDEX:
-                continue  # probe edges were folded in at delivery
-            target_pool, other_pos, forward = _edge_check_geometry(
-                item, self.candidates)
-            cpos = self.constraint_pos[item.constraint]
-            for combo in product(*_source_pools(item, self.candidates)):
-                vo = combo[other_pos]
-                for w, flags in self.edge_memo[(cpos, combo)]:
-                    if w not in target_pool:
-                        continue
-                    fwd, back = flags[other_pos]
-                    if forward:
-                        if fwd:
-                            self.edges_found.add((vo, w))
-                    elif back:
-                        self.edges_found.add((w, vo))
-        self.pending_edges = None
-        self.done = True
-
-    # -- assembly ------------------------------------------------------------
-    def result(self) -> ExecutionResult:
-        gq = Graph()
-        info = self.node_info
-        for v in _kept_nodes(self.candidates):
-            label, value = info[v]
-            gq.add_node(label, value=value, node_id=v)
-        for (v, w) in self.edges_found:
-            gq.add_edge(v, w)
-        return ExecutionResult(plan=self.plan, gq=gq,
-                               candidates=self.candidates, stats=self.stats)
-
-
-def _route_task(task: tuple, router, target_by_pos: dict) -> frozenset:
-    """Owner routing: the shard ids that can contribute a non-empty
-    response to ``task``. Sound by construction — a ``fetch``/``edge``
-    response contains only *owned* targets of the constraint's target
-    label, and a ``probe`` counts only pairs whose source the shard
-    owns, so every shard outside the returned set would respond empty
-    under broadcast and skipping it leaves the merged result (and the
-    access accounting over it) byte-identical.
-    """
-    if task[0] == TASK_PROBE:
-        return router.shards_owning_any(task[1])
-    return router.shards_with_label(target_by_pos[task[1]])
-
-
-def execute_plans_scatter(plans: list[QueryPlan], backend,
-                          stats_list: list[AccessStats] | None = None,
-                          edge_mode: str = MODE_PLAN,
-                          pipeline: bool = True) -> list[ExecutionResult]:
-    """Execute ``plans`` by scatter-gather over ``backend``'s shards.
-
-    ``backend`` is a :class:`~repro.engine.parallel.ShardBackend`
-    (inline shards, a worker-process pool, or a remote fleet). Two
-    drivers share the per-execution state machine:
-
-    * ``pipeline=False`` — the classic lock-step wave barrier: each
-      round gathers every execution's outstanding fetches into one
-      scatter and no execution advances until the whole round returns.
-    * ``pipeline=True`` (default) — per-shard progress: each logical
-      fetch is decomposed into ``(kind, constraint, combo)`` cells,
-      identical cells from different executions travel to a shard once
-      and fan back out, and an execution whose own cells were all
-      answered advances immediately, even while other shards of the
-      same round are still in flight (the backend's ``scatter_submit``
-      completes tasks out of round order). With a synchronous backend
-      the pipelined driver degenerates to the same round structure as
-      the barrier, minus the duplicate tasks.
-
-    When the backend carries an :class:`~repro.engine.parallel.
-    OwnerRouter`, each task is scattered only to the shards that can
-    own its results (:func:`_route_task`) instead of broadcast to all.
-    Answers, candidate sets, ``G_Q`` and access accounting are identical
-    to :func:`execute_plan` on the unpartitioned graph either way.
-    """
-    if edge_mode not in (MODE_PLAN, MODE_PROBE):
-        raise PlanError(f"unknown edge mode {edge_mode!r}")
-    if stats_list is None:
-        stats_list = [AccessStats() for _ in plans]
-    constraint_pos = backend.constraint_pos
-    router = getattr(backend, "router", None)
-    exes = [_ScatterExecution(plan, constraint_pos, stats, edge_mode)
-            for plan, stats in zip(plans, stats_list)]
-    if pipeline and hasattr(backend, "scatter_submit"):
-        _run_pipelined(exes, backend, constraint_pos, router)
-    else:
-        _run_barrier(exes, backend, constraint_pos, router)
-    return [exe.result() for exe in exes]
-
-
-def _run_barrier(exes, backend, constraint_pos, router) -> None:
-    """Lock-step wave driver: one global barrier per round."""
-    wave_index = 0
-    while True:
-        wave: list[tuple[_ScatterExecution, tuple]] = []
-        for exe in exes:
-            wave.extend((exe, task) for task in exe.next_tasks())
-        if not wave:
-            break
-        tasks = [task for _, task in wave]
-        shard_sets = _route_tasks(tasks, constraint_pos, router)
-        with child_span("wave", index=wave_index, tasks=len(tasks)):
-            responses = backend.scatter(tasks, shard_sets)
-            for i, (exe, task) in enumerate(wave):
-                exe.deliver(task, [shard[i] for shard in responses])
-        wave_index += 1
-
-
-def _route_tasks(tasks, constraint_pos, router):
-    if router is None:
-        return None
-    # Rebuilt per round: extend_schema may have grown the position
-    # table since the last one.
-    target_by_pos = {pos: constraint.target
-                     for constraint, pos in constraint_pos.items()}
-    return [_route_task(task, router, target_by_pos) for task in tasks]
-
-
-class _Cell:
-    """One in-flight ``(kind, constraint, combo)`` fetch shared by every
-    execution that needs it. Per-shard fragments accumulate here (shard
-    payloads are disjoint by ownership, so accumulation order does not
-    matter — delivery normalizes by sorting exactly like the barrier
-    driver's shard-order merge)."""
-
-    __slots__ = ("key", "done", "payload", "info", "checked", "found",
-                 "waiters")
-
-    def __init__(self, key: tuple):
-        self.key = key
-        self.done = False
-        self.payload: list = []        # fetch payload / edge entries
-        self.info: dict = {}           # fetch only: {v: (label, value)}
-        self.checked = 0               # probe only
-        self.found: list = []          # probe only
-        self.waiters: list[_ExeState] = []
-
-
-class _ExeState:
-    """Driver-side bookkeeping for one execution between deliveries."""
-
-    __slots__ = ("exe", "tasks", "task_cells", "missing")
-
-    def __init__(self, exe: _ScatterExecution):
-        self.exe = exe
-        self.tasks = None         # logical tasks of the current step
-        self.task_cells = None    # list[list[_Cell]] aligned with tasks
-        self.missing = 0          # cells not yet done across all tasks
-
-
-def _cell_keys(task: tuple) -> list[tuple]:
-    kind = task[0]
-    if kind == TASK_PROBE:
-        return [(TASK_PROBE, tuple(task[1]), tuple(task[2]))]
-    return [(kind, task[1], combo) for combo in task[2]]
-
-
-def _deliver_state(state: _ExeState) -> None:
-    """Deliver a step's tasks (in issue order) from their completed
-    cells. Each task is handed to :meth:`_ScatterExecution.deliver` as
-    a single pre-merged pseudo-shard response, which the existing
-    delivery path normalizes (sort / sum / union) exactly as it does
-    the barrier driver's shard-order merge."""
-    for task, cells in zip(state.tasks, state.task_cells):
-        kind = task[0]
-        if kind == TASK_FETCH:
-            info: dict = {}
-            payloads = []
-            for cell in cells:
-                payloads.append(cell.payload)
-                info.update(cell.info)
-            state.exe.deliver(task, [(payloads, info)])
-        elif kind == TASK_EDGE:
-            state.exe.deliver(task, [[cell.payload for cell in cells]])
-        else:
-            cell = cells[0]
-            state.exe.deliver(task, [(cell.checked, cell.found)])
-    state.tasks = None
-    state.task_cells = None
-
-
-def _advance_state(state: _ExeState, cells: dict, fresh: list) -> int:
-    """Pull the execution's next tasks and bind them to cells, creating
-    cells (appended to ``fresh``) for fetches nobody has issued yet.
-    Steps whose cells are all already complete are delivered inline and
-    the execution keeps advancing. Returns the number of dedup hits
-    (references to cells created by another execution)."""
-    exe = state.exe
-    hits = 0
-    while not exe.done:
-        tasks = exe.next_tasks()
-        if not tasks:
-            break
-        missing = 0
-        groups = []
-        for task in tasks:
-            group = []
-            for key in _cell_keys(task):
-                cell = cells.get(key)
-                if cell is None:
-                    cell = _Cell(key)
-                    cells[key] = cell
-                    fresh.append(cell)
-                else:
-                    hits += 1
-                group.append(cell)
-                if not cell.done:
-                    missing += 1
-                    cell.waiters.append(state)
-            groups.append(group)
-        state.tasks = tasks
-        state.task_cells = groups
-        state.missing = missing
-        if missing:
-            return hits
-        _deliver_state(state)
-    return hits
-
-
-def _group_cells(fresh: list) -> tuple[list, list]:
-    """Coalesce fresh cells into wire tasks: fetch/edge cells group by
-    ``(kind, cpos)`` in first-seen order (all combos of one constraint
-    share a routing set), probes stay single-cell tasks."""
-    wire_tasks: list = []
-    wire_groups: list[list[_Cell]] = []
-    index: dict = {}
-    for cell in fresh:
-        kind = cell.key[0]
-        if kind == TASK_PROBE:
-            wire_tasks.append((TASK_PROBE, list(cell.key[1]),
-                               list(cell.key[2])))
-            wire_groups.append([cell])
-            continue
-        gkey = (kind, cell.key[1])
-        at = index.get(gkey)
-        if at is None:
-            index[gkey] = len(wire_tasks)
-            wire_tasks.append((kind, cell.key[1], [cell.key[2]]))
-            wire_groups.append([cell])
-        else:
-            wire_tasks[at][2].append(cell.key[2])
-            wire_groups[at].append(cell)
-    return wire_tasks, wire_groups
-
-
-def _absorb_response(task: tuple, cells: list, responses: list,
-                     ready: list) -> None:
-    """Split one wire task's per-shard responses into its cells, mark
-    them done, and collect executions whose last missing cell this was."""
-    kind = task[0]
-    if kind == TASK_FETCH:
-        for response in responses:
-            if response is None:
-                continue
-            payloads, info = response
-            for cell, payload in zip(cells, payloads):
-                cell.payload.extend(payload)
-                for v in payload:
-                    cell.info[v] = info[v]
-    elif kind == TASK_EDGE:
-        for payloads in responses:
-            if payloads is None:
-                continue
-            for cell, payload in zip(cells, payloads):
-                cell.payload.extend(payload)
-    else:
-        cell = cells[0]
-        for response in responses:
-            if response is None:
-                continue
-            count, found = response
-            cell.checked += count
-            cell.found.extend(found)
-    for cell in cells:
-        cell.done = True
-        for state in cell.waiters:
-            state.missing -= 1
-            if not state.missing:
-                ready.append(state)
-        cell.waiters = []
-
-
-def _run_pipelined(exes, backend, constraint_pos, router) -> None:
-    """Per-shard-progress driver over ``backend.scatter_submit``.
-
-    Completions arrive per wire task on a queue (possibly from backend
-    reader threads); an execution is re-advanced the moment its own
-    cells are complete. Identity with the sequential executor holds
-    because (a) each execution still observes its tasks in issue order,
-    delivered only when fully merged, (b) cell fragments merge
-    order-independently (sorted payloads, summed probe counts), and
-    (c) every execution records its own ``AccessStats`` at delivery —
-    dedup shares wire traffic, never accounting.
-    """
-    states = [_ExeState(exe) for exe in exes]
-    cells: dict[tuple, _Cell] = {}
-    completions: _queue_mod.Queue = _queue_mod.Queue()
-    outstanding = 0
-    dedup_hits = 0
-    wave_index = 0
-    ready = list(states)
-    while True:
-        fresh: list[_Cell] = []
-        for state in ready:
-            if state.tasks is not None:
-                _deliver_state(state)
-            dedup_hits += _advance_state(state, cells, fresh)
-        ready = []
-        if fresh:
-            wire_tasks, wire_groups = _group_cells(fresh)
-            shard_sets = _route_tasks(wire_tasks, constraint_pos, router)
-
-            def _on_task(i, responses, _tasks=wire_tasks,
-                         _groups=wire_groups):
-                completions.put((_tasks[i], _groups[i], responses))
-
-            with child_span("wave", index=wave_index,
-                            tasks=len(wire_tasks)):
-                backend.scatter_submit(wire_tasks, shard_sets, _on_task)
-            outstanding += len(wire_tasks)
-            wave_index += 1
-        if not outstanding:
-            break
-        task, group, responses = completions.get()
-        outstanding -= 1
-        while True:
-            if isinstance(responses, Exception):
-                raise responses
-            _absorb_response(task, group, responses, ready)
-            try:
-                task, group, responses = completions.get_nowait()
-            except _queue_mod.Empty:
-                break
-            outstanding -= 1
-    if dedup_hits:
-        backend.scatter_dedup_hits = getattr(
-            backend, "scatter_dedup_hits", 0) + dedup_hits
-
-
-def run_shard_task(graph, schema_index, owned: frozenset, task: tuple):
-    """Execute one scatter task against one shard (the worker-side half
-    of the protocol above). Lives here so the sequential and sharded
-    fetch semantics stay in one module; :mod:`repro.engine.parallel`
-    calls it both inline and from worker processes."""
-    kind = task[0]
-    if kind == TASK_FETCH:
-        _, cpos, combos = task
-        constraint = schema_index.constraint_at(cpos)
-        payloads = []
-        info = {}
-        for combo in combos:
-            payload = schema_index.fetch(constraint, combo)
-            payloads.append(payload)
-            for v in payload:
-                if v not in info:
-                    info[v] = (graph.label_of(v), graph.value_of(v))
-        return payloads, info
-    if kind == TASK_EDGE:
-        _, cpos, combos = task
-        constraint = schema_index.constraint_at(cpos)
-        results = []
-        for combo in combos:
-            entries = []
-            for w in schema_index.fetch(constraint, combo):
-                # w is owned by this shard, so *all* of w's adjacency is
-                # present in the shard graph — both directions resolve
-                # locally.
-                flags = tuple((graph.has_edge(m, w), graph.has_edge(w, m))
-                              for m in combo)
-                entries.append((w, flags))
-            results.append(entries)
-        return results
-    if kind == TASK_PROBE:
-        _, a_nodes, b_nodes = task
-        checked = 0
-        found = []
-        for va in a_nodes:
-            if va not in owned:
-                continue
-            for vb in b_nodes:
-                checked += 1
-                if graph.has_edge(va, vb):
-                    found.append((va, vb))
-        return checked, found
-    raise PlanError(f"unknown shard task {kind!r}")  # pragma: no cover

@@ -48,12 +48,8 @@ from repro.constraints.index import ConstraintIndex, FrozenConstraintIndex
 from repro.constraints.maintenance import MaintainedSchemaIndex, MaintenanceReport
 from repro.constraints.schema import AccessConstraint, AccessSchema
 from repro.core.actualized import SEMANTICS, SUBGRAPH
-from repro.core.executor import (
-    MODE_PLAN,
-    ExecutionResult,
-    execute_plan,
-    execute_plans_scatter,
-)
+from repro.core.executor import MODE_PLAN, ExecutionResult, execute_plan
+from repro.core.kernels import execute_plans_scatter
 from repro.core.plan import EdgeCheck, FetchOp, QueryPlan
 from repro.core.qplan import generate_plan
 from repro.engine.cache import PlanCache, pattern_fingerprint

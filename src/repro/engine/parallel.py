@@ -1,7 +1,7 @@
 """Shard backends: inline shards, the worker-process pool, and the
 networked shard fleet.
 
-The scatter-gather executor (:func:`repro.core.executor.
+The scatter source of the array executor (:func:`repro.core.kernels.
 execute_plans_scatter`) is written against the :class:`ShardBackend`
 contract:
 
@@ -61,10 +61,11 @@ import threading
 import time
 from typing import Sequence
 
+import numpy as np
+
 from repro.constraints.index import FrozenConstraintIndex
 from repro.constraints.schema import AccessConstraint
 from repro.core import kernels
-from repro.core.executor import run_shard_task
 from repro.errors import (
     EngineError,
     ReproError,
@@ -72,7 +73,6 @@ from repro.errors import (
     ShardProtocolError,
     ShardUnavailable,
 )
-from repro.graph.frozen import FrozenGraph
 from repro.obs.trace import current_span
 
 
@@ -88,19 +88,15 @@ class ShardRuntime:
         self.graph = graph
         self.schema_index = schema_index
         self.owned = frozenset(owned)
-        self._owned_sorted = None  # lazy int64 array for vectorized tasks
+        self._owned_sorted = None  # lazy sorted int64 array for probes
 
     def handle(self, task: tuple):
-        # Shard graphs are CSR snapshots, so the probe/edge tasks run on
-        # the array kernels; responses are identical to the scalar path
-        # (see run_shard_task_vectorized).
-        if isinstance(self.graph, FrozenGraph):
-            if self._owned_sorted is None:
-                self._owned_sorted = kernels.sorted_id_array(self.owned)
-            return kernels.run_shard_task_vectorized(
-                self.graph, self.schema_index, self.owned,
-                self._owned_sorted, task)
-        return run_shard_task(self.graph, self.schema_index, self.owned, task)
+        """Answer one scatter task with arrays (see
+        :func:`repro.core.kernels.handle_shard_task`)."""
+        if self._owned_sorted is None:
+            self._owned_sorted = kernels.sorted_id_array(self.owned)
+        return kernels.handle_shard_task(self.graph, self.schema_index,
+                                         self._owned_sorted, task)
 
     def owned_labels(self) -> list[str]:
         """Sorted distinct labels of the shard's *owned* nodes — the
@@ -172,19 +168,26 @@ class OwnerRouter:
     Built from ``partition.bin``'s owned-node buffers (node → owning
     shard) and the per-shard owned-label sets. The two lookups cover the
     three task kinds exactly (see
-    :meth:`repro.core.executor.execute_plans_scatter`): ``probe`` tasks
+    :func:`repro.core.kernels.execute_plans_scatter`): ``probe`` tasks
     go only to shards owning a source candidate, ``fetch``/``edge``
     tasks only to shards owning at least one node of the constraint's
     target label — every skipped shard would have contributed an empty
     response, so the merged result is unchanged.
     """
 
-    __slots__ = ("_owner_of", "_label_shards", "num_shards")
+    __slots__ = ("_owned", "_owner", "_label_shards", "num_shards")
 
     def __init__(self, owners_by_shard: dict, labels_by_shard: dict):
-        self._owner_of = {int(v): shard_id
-                          for shard_id, owned in owners_by_shard.items()
-                          for v in owned}
+        # Sorted owned ids with their shard alongside: a probe's
+        # sources resolve to owners with one searchsorted.
+        ids = [np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+               for nodes in owners_by_shard.values()]
+        shards = [np.full(len(chunk), shard_id, dtype=np.int64)
+                  for shard_id, chunk in zip(owners_by_shard, ids)]
+        owned = np.concatenate(ids) if ids else np.empty(0, dtype=np.int64)
+        order = np.argsort(owned, kind="stable")
+        self._owned = owned[order]
+        self._owner = np.concatenate(shards)[order] if shards else owned
         label_shards: dict[str, set[int]] = {}
         for shard_id, labels in labels_by_shard.items():
             for label in labels:
@@ -199,19 +202,24 @@ class OwnerRouter:
 
     def shards_owning_any(self, nodes) -> frozenset:
         """Shards owning at least one of ``nodes``."""
-        owner_of = self._owner_of
-        return frozenset(owner_of[v] for v in nodes if v in owner_of)
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if not len(nodes) or not len(self._owned):
+            return frozenset()
+        at = np.minimum(np.searchsorted(self._owned, nodes),
+                        len(self._owned) - 1)
+        hit = self._owned[at] == nodes
+        return frozenset(self._owner[at[hit]].tolist())
 
     def __repr__(self) -> str:
         return (f"OwnerRouter(shards={self.num_shards}, "
-                f"nodes={len(self._owner_of)}, "
+                f"nodes={len(self._owned)}, "
                 f"labels={len(self._label_shards)})")
 
 
 class ShardBackend(abc.ABC):
     """The public contract every shard backend implements.
 
-    :func:`repro.core.executor.execute_plans_scatter` and the engine's
+    :func:`repro.core.kernels.execute_plans_scatter` and the engine's
     schema-extension path are written against exactly this surface;
     :class:`InlineShardBackend`, :class:`ProcessShardBackend` and
     :class:`RemoteShardBackend` all subclass it, and
@@ -241,7 +249,7 @@ class ShardBackend(abc.ABC):
         self.scatter_messages_broadcast = 0
         #: Pipelining accounting: rounds submitted while a previous
         #: round was still in flight (only an asynchronous backend can
-        #: overlap rounds), and cross-execution cell-dedup hits credited
+        #: overlap rounds), and cross-execution task-dedup hits credited
         #: by the pipelined executor driver.
         self.rounds_overlapped = 0
         self.scatter_dedup_hits = 0
@@ -627,7 +635,7 @@ class _ScatterEncoder:
         parts = self._binary.get(key)
         if parts is None:
             from repro.server import protocol
-            metas, buffers = protocol.encode_tasks_binary(
+            metas, buffers = protocol.encode_tasks(
                 [self.tasks[i] for i in key])
             parts = (json.dumps(metas, separators=(",", ":")).encode(),
                      protocol.encode_payload(buffers))
@@ -674,8 +682,8 @@ class _ShardConn:
 
     __slots__ = ("addr", "host", "port", "sock", "file", "shard_id",
                  "next_id", "bytes_sent", "bytes_received",
-                 "encode_s", "lock", "cond", "pending", "reader",
-                 "fail_streak", "inflight_peak")
+                 "encode_s", "decode_s", "lock", "cond", "pending",
+                 "reader", "fail_streak", "inflight_peak")
 
     def __init__(self, addr: str):
         self.addr = addr
@@ -687,6 +695,8 @@ class _ShardConn:
         self.bytes_sent = 0
         self.bytes_received = 0
         self.encode_s = 0.0
+        #: Scatter response decode time, counted on the reader thread.
+        self.decode_s = 0.0
         self.lock = threading.Lock()
         self.cond = threading.Condition(self.lock)
         self.pending: dict[int, _PendingRequest] = {}
@@ -1158,21 +1168,27 @@ class RemoteShardBackend(ShardBackend):
         return len(self._shard_ids)
 
     def _decode_scatter(self, conn: _ShardConn, result: dict,
-                        kinds: list[str]) -> list:
+                        tasks: list[tuple]) -> list:
         """Decode one shard's scatter response frame into per-task
-        values aligned with the task indices it was sent."""
+        arrays aligned with the tasks it was sent (on the reader
+        thread; the time counts as the connection's ``decode_ms``)."""
         from repro.server import protocol
 
-        metas = result.get("responses_meta")
-        if isinstance(metas, list):
-            decoded = protocol.decode_shard_responses_binary(
+        started = time.perf_counter()
+        try:
+            metas = result.get("responses_meta")
+            if not isinstance(metas, list):
+                raise ShardProtocolError("scatter response carries no "
+                                         "responses_meta")
+            return protocol.decode_responses(
                 metas, getattr(result, "payloads", ()),
-                expected_kinds=kinds)
-            if len(decoded) == len(kinds):
-                return decoded
-        raise ShardProtocolError(
-            f"shard {conn.addr}: scatter response does not align with "
-            f"the {len(kinds)} tasks sent", addr=conn.addr)
+                [(task[0], len(task[2]) if task[0] != "probe" else 0)
+                 for task in tasks])
+        except ShardProtocolError as exc:
+            raise ShardProtocolError(f"shard {conn.addr}: {exc}",
+                                     addr=conn.addr) from None
+        finally:
+            conn.decode_s += time.perf_counter() - started
 
     def scatter_submit(self, tasks: list[tuple],
                        shard_sets: list | None = None,
@@ -1222,7 +1238,7 @@ class RemoteShardBackend(ShardBackend):
             if not isinstance(result, Exception):
                 try:
                     decoded = self._decode_scatter(
-                        conn, result, [tasks[i][0] for i in indices])
+                        conn, result, [tasks[i] for i in indices])
                 except ReproError as exc:
                     result = exc
             fired = []
@@ -1337,6 +1353,7 @@ class RemoteShardBackend(ShardBackend):
                         "bytes_sent": conn.bytes_sent,
                         "bytes_received": conn.bytes_received,
                         "encode_ms": round(conn.encode_s * 1000.0, 3),
+                        "decode_ms": round(conn.decode_s * 1000.0, 3),
                         "inflight": len(conn.pending),
                         "inflight_peak": conn.inflight_peak})
         return out

@@ -130,11 +130,11 @@ def render_prometheus(snapshot: dict) -> str:
                      kind="counter")
         w.sample("repro_scatter_dedup_hits_total",
                  backend.get("scatter_dedup_hits"), kind="counter",
-                 help_text=("Cross-execution fetch/edge cells answered "
-                            "from an in-flight duplicate instead of a "
-                            "second shard round trip."))
+                 help_text=("Cross-execution scatter tasks answered "
+                            "from an identical task of the same batch "
+                            "instead of a second shard round trip."))
         # Front-end wire telemetry: bytes each way per shard connection
-        # plus cumulative request-encode time.
+        # plus cumulative request-encode and response-decode time.
         for entry in backend.get("wire_by_shard", ()):
             if not isinstance(entry, dict):
                 continue
@@ -152,6 +152,12 @@ def render_prometheus(snapshot: dict) -> str:
                      kind="counter",
                      help_text=("Cumulative request-encode time per "
                                 "shard connection, ms."))
+            w.sample("repro_shard_wire_decode_ms_total",
+                     entry.get("decode_ms"), {"shard": shard_label},
+                     kind="counter",
+                     help_text=("Cumulative scatter-response decode "
+                                "time per shard connection, ms "
+                                "(reader threads)."))
             w.sample("repro_shard_inflight", entry.get("inflight"),
                      {"shard": shard_label},
                      help_text=("Requests currently awaiting a response "

@@ -107,6 +107,7 @@ def render_metrics_table(snapshot: dict) -> str:
             ("bytes_sent", wire.get("bytes_sent")),
             ("bytes_received", wire.get("bytes_received")),
             ("encode_ms", wire.get("encode_ms")),
+            ("decode_ms", wire.get("decode_ms")),
         ], out)
     for entry in wire_by_shard:
         if not isinstance(entry, dict):

@@ -49,7 +49,6 @@ import json
 import socket
 import struct
 import time
-from itertools import chain
 
 import numpy as np
 
@@ -70,8 +69,9 @@ from repro.errors import (
 #: op-contract changes; the shard handshake (``hello``) requires exact
 #: agreement so a mixed deployment fails loudly at connect instead of
 #: corrupting answers mid-wave. Version 2 made the binary frame the only
-#: encoding of ``scatter``.
-PROTOCOL_VERSION = 2
+#: encoding of ``scatter``; version 3 made scatter tasks and answers
+#: arrays end to end, with predicates evaluated on the shards.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one request/response line; a longer line is a protocol
 #: error (keeps a misbehaving peer from ballooning server memory).
@@ -408,295 +408,252 @@ def is_repro_error(exc: Exception) -> bool:
 
 
 # ------------------------------------------------------ shard task codecs
-# The scatter-gather task/response tuples (see repro.core.executor) cross
-# the shard-server wire in binary frames. Each function returns (meta,
-# buffers): meta is a small JSON-safe skeleton riding in the frame
-# header, and every bulk int array rides in a payload buffer packed by
+# The scatter wire tasks and their array answers (see repro.core.kernels)
+# cross the shard-server wire in binary frames. Every task and every
+# answer is one meta — a small JSON-safe list riding in the frame header
+# — plus one payload buffer (the i-th meta owns payload buffer i). The
+# buffer concatenates the message's int arrays, each packed by
 # arrays.pack_ints (ndarray.tobytes on encode, np.frombuffer over the
-# received memoryview on decode — no per-element Python loops). A
-# buffer reference in the meta is ``[dtype_code, buffer_index]``. The
-# decoded shapes are element-for-element identical to what
-# InlineShardBackend produces — answers, G_Q and AccessStats must not be
-# able to tell the backends apart. Both ends share these functions, so
-# a representation change is a single edit (plus a PROTOCOL_VERSION
-# bump).
+# received memoryview on decode — no per-element loops on either side);
+# the meta's ``codes`` string lists their dtype codes in order. Array
+# lengths are mostly implied (a fetch's values are as many as its
+# lengths sum to), the rest ride in the meta. The decoders validate
+# every shape a later array operation relies on and raise
+# ShardProtocolError otherwise. Both ends share these functions, so a
+# representation change is a single edit (plus a PROTOCOL_VERSION bump).
 
-def encode_tasks_binary(tasks) -> tuple[list, list[bytes]]:
-    """Pack scatter tasks: combos flatten into one ``(n, arity)`` int
-    matrix buffer per task, probe frontiers into one buffer per side."""
+def _pack(*parts) -> tuple[str, bytes]:
+    codes, raws = [], []
+    for values in parts:
+        code, raw = arrays.pack_ints(values)
+        codes.append(code)
+        raws.append(raw)
+    return "".join(codes), b"".join(raws)
+
+
+class _Unpacker:
+    """Reads one message's packed arrays back, in order, as int64."""
+
+    __slots__ = ("codes", "view", "at")
+
+    def __init__(self, codes, view):
+        if not isinstance(codes, str) or len(codes) % 2:
+            raise ShardProtocolError(f"malformed dtype codes {codes!r}")
+        self.codes = [codes[i:i + 2] for i in range(0, len(codes), 2)]
+        self.view = view
+        self.at = 0
+
+    def take(self, count: int):
+        if not self.codes:
+            raise ShardProtocolError("message holds fewer arrays than "
+                                     "its kind needs")
+        code = self.codes.pop(0)
+        end = self.at + int(count) * arrays.packed_width(code)
+        if count < 0 or end > len(self.view):
+            raise ShardProtocolError("message buffer is shorter than its "
+                                     "arrays")
+        values = arrays.unpack_ints(code, self.view[self.at:end])
+        self.at = end
+        return values.astype(np.int64, copy=False)
+
+    def rest(self):
+        """The last array: whatever the buffer holds past the others."""
+        code = self.codes[0] if self.codes else "i8"
+        return self.take((len(self.view) - self.at)
+                         // arrays.packed_width(code))
+
+    def finish(self) -> None:
+        if self.codes or self.at != len(self.view):
+            raise ShardProtocolError("message buffer holds more than its "
+                                     "arrays")
+
+
+def encode_tasks(tasks) -> tuple[list, list[bytes]]:
+    """Pack scatter tasks: a fetch or edge task carries its ``(n, k)``
+    combo matrix (a fetch adds its predicate's atoms to the meta), a
+    probe its two frontiers."""
     metas: list = []
     buffers: list[bytes] = []
-
-    def push(values):
-        code, raw = arrays.pack_ints(values)
-        buffers.append(raw)
-        return [code, len(buffers) - 1]
-
     for task in tasks:
         kind = task[0]
         if kind == "probe":
-            _, a_nodes, b_nodes = task
-            metas.append(["probe", push(np.asarray(a_nodes, dtype=np.int64)),
-                          push(np.asarray(b_nodes, dtype=np.int64))])
+            codes, raw = _pack(task[1], task[2])
+            metas.append(["probe", len(task[1]), codes])
         else:
-            _, cpos, combos = task
-            arity = len(combos[0]) if combos else 0
-            matrix = np.asarray(combos, dtype=np.int64)
-            metas.append([kind, int(cpos), len(combos), arity, push(matrix)])
+            combos = np.asarray(task[2], dtype=np.int64)
+            codes, raw = _pack(combos)
+            meta = [kind, int(task[1]), combos.shape[0], combos.shape[1],
+                    codes]
+            if kind == "fetch":
+                meta.append([[atom.op, _json_constant(atom.constant)]
+                             for atom in task[3].atoms])
+            metas.append(meta)
+        buffers.append(raw)
     return metas, buffers
 
 
-def decode_tasks_binary(metas, payloads) -> list[tuple]:
-    """Inverse of :func:`encode_tasks_binary`, adopting the payload
-    memoryviews in place and restoring the exact task tuples: int node
-    ids, tuple combos (shard-side index lookups key on tuples)."""
+def _json_constant(constant):
+    if constant is None or type(constant) in (bool, int, float, str):
+        return constant
+    raise ShardProtocolError(
+        f"predicate constant {constant!r} has no exact wire form")
 
-    def pull(ref):
-        code, index = ref
-        return arrays.unpack_ints(code, payloads[index])
+
+def _messages(metas, payloads):
+    if not isinstance(metas, list) or len(metas) != len(payloads):
+        raise ShardProtocolError(
+            "binary frame carries one payload buffer per message")
+    return zip(metas, payloads)
+
+
+def decode_tasks(metas, payloads) -> list[tuple]:
+    """Inverse of :func:`encode_tasks`: int64 arrays over the payload
+    buffers, combo matrices reshaped, predicates rebuilt."""
+    from repro.pattern.predicates import Predicate
 
     tasks = []
     try:
-        for meta in metas:
+        for meta, view in _messages(metas, payloads):
             kind = meta[0]
             if kind == "probe":
-                _, a_ref, b_ref = meta
-                tasks.append(("probe", pull(a_ref).tolist(),
-                              pull(b_ref).tolist()))
+                _, count, codes = meta
+                data = _Unpacker(codes, view)
+                task = ("probe", data.take(count), data.rest())
             elif kind in ("fetch", "edge"):
-                _, cpos, count, arity, ref = meta
-                flat = pull(ref)
-                if flat.size != count * arity:
+                cpos, count, arity = int(meta[1]), int(meta[2]), int(meta[3])
+                data = _Unpacker(meta[4], view)
+                flat = data.rest()
+                if count < 0 or arity < 0 or flat.size != count * arity:
                     raise ShardProtocolError(
                         f"task buffer holds {flat.size} ints, expected "
                         f"{count}x{arity}")
-                combos = [tuple(row) for row in
-                          flat.reshape(count, arity).tolist()] if count \
-                    else []
-                tasks.append((kind, int(cpos), combos))
+                task = (kind, cpos, flat.reshape(count, arity))
+                if kind == "fetch":
+                    task += (Predicate.of(*map(tuple, meta[5])),)
             else:
                 raise ShardProtocolError(
                     f"unknown binary task kind {kind!r}")
-    except (TypeError, ValueError, IndexError) as exc:
+            data.finish()
+            tasks.append(task)
+    except ShardProtocolError:
+        raise
+    except (ReproError, TypeError, ValueError, IndexError) as exc:
         raise ShardProtocolError(
             f"malformed binary shard task: {exc}") from exc
     return tasks
 
 
-def _pack_fetch_info(id_list, info):
-    """Pack a fetch response's node-info dict against its sorted
-    distinct payload ids, or None when the shapes don't fit the packed
-    form (then the JSON-triples fallback rides in the meta).
+def encode_responses(kinds, responses) -> tuple[list, list]:
+    """Pack one scatter round's array answers, aligned with its tasks.
 
-    Per id (in ``id_list`` order) one ``tag`` byte — ``label_index * 4 +
-    value_kind`` with kinds 0=None, 1=int, 2=the ``"<label>_<n>"``
-    template every bundled generator emits, 3=anything else — plus one
-    entry in the numbers buffer (the int value, the template's ``n``, or
-    0). Kind-3 values stay JSON, in id order. The ids themselves never
-    travel: both ends derive them from the payload values buffer.
-    """
-    if len(info) != len(id_list):
-        return None
-    labels: list[str] = []
-    label_pos: dict[str, int] = {}
-    tags: list[int] = []
-    nums: list[int] = []
-    others: list = []
-    for v in id_list:
-        pair = info.get(v)
-        if pair is None or not isinstance(pair, tuple) or len(pair) != 2:
-            return None
-        label, value = pair
-        if not isinstance(label, str):
-            return None
-        pos = label_pos.get(label)
-        if pos is None:
-            pos = label_pos[label] = len(labels)
-            labels.append(label)
-            if pos > 62:  # the tag byte must stay u1
-                return None
-        vkind, num = 3, 0
-        if value is None:
-            vkind = 0
-        elif type(value) is int:
-            vkind, num = 1, value
-        elif type(value) is str and value.startswith(label) \
-                and value[len(label):len(label) + 1] == "_":
-            suffix = value[len(label) + 1:]
-            if suffix.isdigit() and str(int(suffix)) == suffix:
-                vkind, num = 2, int(suffix)
-        if vkind == 3:
-            others.append(value)
-        tags.append(pos * 4 + vkind)
-        nums.append(num)
-    return labels, others, tags, nums
-
-
-def encode_shard_responses_binary(kinds, responses) -> tuple[list, list]:
-    """Pack one scatter wave's responses, aligned with its tasks.
-
-    fetch: per-combo payload lengths + flattened payload values as two
-    buffers; the node-info dict packs as a label dictionary plus tag and
-    number buffers keyed by the *derived* sorted distinct payload ids
-    (see :func:`_pack_fetch_info` — the dominant cost of a fetch
-    wave), falling back to JSON ``[id, label, value]`` triples when its
-    shape doesn't fit. edge: per-combo entry counts, flattened neighbour
-    ids, and per-entry direction-flag bitmasks (bit ``2j`` = forward,
-    ``2j+1`` = backward for combo member ``j``). probe: the found pairs
-    as one ``(n, 2)`` buffer.
+    fetch: per-combo ``lengths``, payload ``values``, the ``found`` ids
+    and their info — the label list and kind-3 values ride in the meta,
+    ``tags`` and ``numbers`` in the buffer. edge: per-combo lengths,
+    entries and direction bitmasks. probe: the count of pairs checked
+    and the found pairs.
     """
     metas: list = []
     buffers: list[bytes] = []
-
-    def push(values):
-        code, raw = arrays.pack_ints(values)
-        buffers.append(raw)
-        return [code, len(buffers) - 1]
-
     for kind, response in zip(kinds, responses):
         if kind == "fetch":
-            payloads, info = response
-            lens = [len(p) for p in payloads]
-            total = sum(lens)
-            values = np.fromiter(chain.from_iterable(payloads),
-                                 dtype=np.int64, count=total)
-            packed = _pack_fetch_info(np.unique(values).tolist(), info)
-            if packed is not None:
-                labels, others, tags, nums = packed
-                metas.append(["fetch", labels, others, push(lens),
-                              push(values), push(tags), push(nums)])
-                continue
-            metas.append(["fetch",
-                          [[v, label, value]
-                           for v, (label, value) in info.items()],
-                          push(lens), push(values)])
+            lengths, values, found, (labels, tags, numbers, others) = \
+                response
+            codes, raw = _pack(lengths, values, found, tags, numbers)
+            metas.append(["fetch", len(found), codes, labels, others])
         elif kind == "edge":
-            counts, ws, masks = [], [], []
-            arity = 0
-            for entries in response:
-                counts.append(len(entries))
-                for w, flags in entries:
-                    arity = len(flags)
-                    mask = 0
-                    for j, (fwd, bwd) in enumerate(flags):
-                        if fwd:
-                            mask |= 1 << (2 * j)
-                        if bwd:
-                            mask |= 1 << (2 * j + 1)
-                    ws.append(w)
-                    masks.append(mask)
-            metas.append(["edge", arity, push(counts), push(ws),
-                          push(masks)])
+            codes, raw = _pack(*response)
+            metas.append(["edge", codes])
         else:
-            checked, found = response
-            pairs = np.asarray(found, dtype=np.int64)
-            metas.append(["probe", int(checked), len(found), push(pairs)])
+            checked, pairs = response
+            codes, raw = _pack(pairs)
+            metas.append(["probe", int(checked), codes])
+        buffers.append(raw)
     return metas, buffers
 
 
-def decode_shard_responses_binary(metas, payloads,
-                                  expected_kinds=None) -> list:
-    """Inverse of :func:`encode_shard_responses_binary`, restoring the
-    exact in-memory shapes a shard runtime returns (int node ids, tuple
-    edge flags, hashable probe pairs) so the merge in the scatter
-    executor cannot tell a remote shard from an inline one."""
-
-    def pull(ref):
-        code, index = ref
-        return arrays.unpack_ints(code, payloads[index])
-
+def decode_responses(metas, payloads, expected) -> list:
+    """Inverse of :func:`encode_responses`. ``expected`` lists each
+    task's ``(kind, combos)``; a response must match its task's kind
+    and have one length per combo. Raises :class:`ShardProtocolError` on
+    any shape the executor could not merge: lengths that do not sum to
+    the payload, ``found`` ids that are not a sorted subset of it, info
+    not aligned with ``found``."""
     out = []
     try:
-        for pos, meta in enumerate(metas):
-            kind = meta[0]
-            if expected_kinds is not None and kind != expected_kinds[pos]:
+        if len(metas) != len(expected):
+            raise ShardProtocolError(
+                f"{len(metas)} responses for {len(expected)} tasks")
+        for pos, ((meta, view), (kind, combos)) in enumerate(
+                zip(_messages(metas, payloads), expected)):
+            if meta[0] != kind:
                 raise ShardProtocolError(
-                    f"binary response {pos} has kind {kind!r}, expected "
-                    f"{expected_kinds[pos]!r}")
-            if kind == "fetch":
-                if len(meta) == 7:  # packed info (_pack_fetch_info)
-                    (_, labels, others, lens_ref, vals_ref,
-                     tags_ref, nums_ref) = meta
-                    lens = pull(lens_ref).tolist()
-                    values = pull(vals_ref)
-                    if values.size != sum(lens):
-                        raise ShardProtocolError(
-                            "fetch payload buffer disagrees with its "
-                            "lengths")
-                    ids = np.unique(values).tolist()
-                    tags = pull(tags_ref).tolist()
-                    nums = pull(nums_ref).tolist()
-                    if len(tags) != len(ids) or len(nums) != len(ids):
-                        raise ShardProtocolError(
-                            "fetch info buffers disagree with the "
-                            "distinct payload ids")
-                    info, oi = {}, 0
-                    for v, tag, num in zip(ids, tags, nums):
-                        label = labels[tag >> 2]
-                        vkind = tag & 3
-                        if vkind == 0:
-                            value = None
-                        elif vkind == 1:
-                            value = num
-                        elif vkind == 2:
-                            value = f"{label}_{num}"
-                        else:
-                            value = others[oi]
-                            oi += 1
-                        info[v] = (label, value)
-                else:  # JSON-triples fallback
-                    _, triples, lens_ref, vals_ref = meta
-                    lens = pull(lens_ref).tolist()
-                    values = pull(vals_ref)
-                    if values.size != sum(lens):
-                        raise ShardProtocolError(
-                            "fetch payload buffer disagrees with its "
-                            "lengths")
-                    info = {int(v): (label, value)
-                            for v, label, value in triples}
-                segments, offset = [], 0
-                for n in lens:
-                    segments.append(values[offset:offset + n].tolist())
-                    offset += n
-                out.append((segments, info))
+                    f"binary response {pos} has kind {meta[0]!r}, expected "
+                    f"{kind!r}")
+            if kind == "probe":
+                _, checked, codes = meta
+                data = _Unpacker(codes, view)
+                pairs = data.rest()
+                if pairs.size % 2 or int(checked) < 0:
+                    raise ShardProtocolError(
+                        "probe response has a malformed pair buffer")
+                response = (int(checked), pairs.reshape(-1, 2))
             elif kind == "edge":
-                _, arity, counts_ref, ws_ref, masks_ref = meta
-                counts = pull(counts_ref).tolist()
-                ws = pull(ws_ref).tolist()
-                masks = pull(masks_ref).tolist()
-                if len(ws) != len(masks) or len(ws) != sum(counts):
-                    raise ShardProtocolError(
-                        "edge buffers disagree with their counts")
-                entries_out, offset = [], 0
-                for n in counts:
-                    entries = []
-                    for k in range(offset, offset + n):
-                        mask = masks[k]
-                        entries.append(
-                            (ws[k],
-                             tuple((bool((mask >> (2 * j)) & 1),
-                                    bool((mask >> (2 * j + 1)) & 1))
-                                   for j in range(arity))))
-                    entries_out.append(entries)
-                    offset += n
-                out.append(entries_out)
-            elif kind == "probe":
-                _, checked, count, pairs_ref = meta
-                pairs = pull(pairs_ref)
-                if pairs.size != count * 2:
-                    raise ShardProtocolError(
-                        "probe pair buffer disagrees with its count")
-                out.append((int(checked),
-                            [tuple(pair) for pair in
-                             pairs.reshape(count, 2).tolist()] if count
-                            else []))
+                data = _Unpacker(meta[1], view)
+                lengths = _lengths(data, combos)
+                values = data.take(lengths.sum())
+                response = (lengths, values, data.take(len(values)))
             else:
-                raise ShardProtocolError(
-                    f"unknown binary response kind {kind!r}")
+                _, count, codes, labels, others = meta
+                data = _Unpacker(codes, view)
+                lengths = _lengths(data, combos)
+                values = data.take(lengths.sum())
+                found = data.take(count)
+                tags = data.take(count)
+                numbers = data.take(count)
+                if not _sorted_subset(found, values):
+                    raise ShardProtocolError(
+                        "fetch found ids are not a sorted subset of the "
+                        "payload")
+                if (not isinstance(labels, list)
+                        or not isinstance(others, list)
+                        or not all(isinstance(label, str)
+                                   for label in labels)
+                        or (count and (tags.min() < 0
+                                       or tags.max() >> 2 >= len(labels)))
+                        or int(np.count_nonzero(tags & 3 == 3))
+                        != len(others)):
+                    raise ShardProtocolError(
+                        "fetch node info is not aligned with the found ids")
+                response = (lengths, values, found,
+                            (labels, tags, numbers, others))
+            data.finish()
+            out.append(response)
+    except ShardProtocolError:
+        raise
     except (TypeError, ValueError, IndexError) as exc:
         raise ShardProtocolError(
             f"malformed binary shard response: {exc}") from exc
     return out
+
+
+def _lengths(data: _Unpacker, combos: int):
+    lengths = data.take(combos)
+    if len(lengths) and lengths.min() < 0:
+        raise ShardProtocolError("negative per-combo payload length")
+    return lengths
+
+
+def _sorted_subset(found, values) -> bool:
+    """``found`` is strictly increasing and every id in it occurs in
+    ``values`` (no sort of ``values`` needed)."""
+    if not len(found):
+        return True
+    if np.any(found[1:] <= found[:-1]):
+        return False
+    at = np.minimum(np.searchsorted(found, values), len(found) - 1)
+    covered = np.zeros(len(found), dtype=bool)
+    covered[at[found[at] == values]] = True
+    return bool(covered.all())
 
 
 def encode_extension_stats(stats: tuple) -> dict:

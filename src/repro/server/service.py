@@ -588,6 +588,7 @@ class QueryService:
                 "bytes_sent": sum(w["bytes_sent"] for w in wire),
                 "bytes_received": sum(w["bytes_received"] for w in wire),
                 "encode_ms": round(sum(w["encode_ms"] for w in wire), 3),
+                "decode_ms": round(sum(w["decode_ms"] for w in wire), 3),
             }
             doc["backend"]["wire_by_shard"] = wire
             try:

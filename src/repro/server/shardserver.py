@@ -284,8 +284,8 @@ class ShardServer:
             raise ShardProtocolError(
                 f"scatter needs a binary frame carrying tasks_meta "
                 f"(protocol {protocol.PROTOCOL_VERSION})")
-        tasks = protocol.decode_tasks_binary(
-            doc["tasks_meta"], getattr(doc, "payloads", ()))
+        tasks = protocol.decode_tasks(doc["tasks_meta"],
+                                      getattr(doc, "payloads", ()))
         runtime = self.runtime  # one snapshot for the whole round
         raw = [runtime.handle(task) for task in tasks]
         if self.task_cost_s:
@@ -297,7 +297,7 @@ class ShardServer:
             time.sleep(self.task_cost_s * units)
         self.scatter_rounds += 1
         self.tasks_handled += len(tasks)
-        metas, buffers = protocol.encode_shard_responses_binary(
+        metas, buffers = protocol.encode_responses(
             [task[0] for task in tasks], raw)
         response = protocol.Frame({"responses_meta": metas},
                                   payloads=buffers, binary=True)

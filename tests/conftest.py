@@ -127,3 +127,13 @@ def tiny_graph():
     graph.add_edge(actor, country)
     graph.add_edge(movie2, year)
     return graph
+
+
+def plain(value):
+    """Scatter responses with their arrays as nested lists, so two
+    responses compare with ``==``."""
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value

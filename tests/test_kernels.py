@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -206,3 +207,50 @@ def _probe_pools(plan, sx, graph):
     result = execute_plan(plan, sx, edge_mode=MODE_PROBE)
     for u, v in plan.pattern.edges():
         yield result.candidates.get(u, set()), result.candidates.get(v, set())
+
+
+def test_shard_tasks_leave_kernel_caches_flat(imdb_small):
+    """A shard server answers a new combo matrix or predicate in nearly
+    every task; its handler must not memoize per task. Many distinct
+    fetch, edge and probe tasks on one ShardRuntime leave every
+    GraphKernel cache exactly as large as one warm-up round left it."""
+    from repro.core.kernels import graph_kernel
+    from repro.engine.parallel import ShardRuntime
+    from repro.pattern.predicates import Predicate
+
+    graph, schema = imdb_small
+    part = partition_graph(graph, 2)
+    shard = part.shards[0]
+    [sx, _] = build_shard_indexes(part, schema)
+    runtime = ShardRuntime(shard.shard_id, shard.graph, sx,
+                           list(shard.owned))
+    kernel = graph_kernel(shard.graph)
+    constraints = [c for c in schema if c.source][:4]
+    rng = random.Random(3)
+
+    def tasks(round_):
+        for constraint in constraints:
+            cpos = sx.schema.positions()[constraint]
+            pools = [sorted(graph.nodes_with_label(label))
+                     for label in constraint.source]
+            combos = np.array(sorted({tuple(rng.choice(pool)
+                                            for pool in pools)
+                                      for _ in range(6)}), dtype=np.int64)
+            yield ("fetch", cpos, combos,
+                   Predicate.of((">=", round_), ("<", round_ + 50)))
+            yield ("fetch", cpos, combos, Predicate.of(("=", round_)))
+            yield ("edge", cpos, combos)
+        nodes = sorted(rng.sample(sorted(shard.owned), 12))
+        yield ("probe", np.array(nodes[:6]), np.array(nodes[6:]))
+
+    def sizes():
+        return {name: len(getattr(kernel, name))
+                for name in ("_adj_cache", "_mask_cache", "_pred_cache")}
+
+    for task in tasks(0):
+        runtime.handle(task)
+    before = sizes()
+    for round_ in range(1, 40):
+        for task in tasks(round_):
+            runtime.handle(task)
+    assert sizes() == before

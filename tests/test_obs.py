@@ -381,6 +381,23 @@ class TestPrometheusExport:
                                      timeout=0.5).close()
 
 
+    def test_wire_encode_and_decode_series(self):
+        snapshot = _sample_snapshot()
+        snapshot["backend"] = dict(snapshot["backend"])
+        snapshot["backend"]["wire"] = {"bytes_sent": 10,
+                                       "bytes_received": 20,
+                                       "encode_ms": 0.5, "decode_ms": 1.5}
+        snapshot["backend"]["wire_by_shard"] = [
+            {"shard_id": 0, "addr": "127.0.0.1:1", "bytes_sent": 10,
+             "bytes_received": 20, "encode_ms": 0.5, "decode_ms": 1.5,
+             "inflight": 0, "inflight_peak": 2}]
+        text = render_prometheus(snapshot)
+        assert 'repro_shard_wire_encode_ms_total{shard="0"} 0.5' in text
+        assert 'repro_shard_wire_decode_ms_total{shard="0"} 1.5' in text
+        table = render_metrics_table(snapshot)
+        assert "decode_ms" in table.split("wire[0]")[0]  # the wire table
+
+
 class TestMetricsTable:
     def test_renders_all_sections(self):
         text = render_metrics_table(_sample_snapshot())

@@ -23,7 +23,8 @@ from repro import AccessConstraint, AccessSchema, Graph, SchemaIndex
 from repro.accounting import AccessStats
 from repro.constraints.discovery import discover_schema
 from repro.core.actualized import SIMULATION, SUBGRAPH
-from repro.core.executor import execute_plan, execute_plans_scatter
+from repro.core.executor import execute_plan
+from repro.core.kernels import execute_plans_scatter
 from repro.core.qplan import generate_plan
 from repro.engine.parallel import InlineShardBackend, ShardRuntime
 from repro.errors import GraphError, NotEffectivelyBounded

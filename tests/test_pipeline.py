@@ -34,9 +34,10 @@ from hypothesis import strategies as st
 from repro import AccessStats, ShardUnavailable, connect
 from repro.core.actualized import SIMULATION, SUBGRAPH
 from repro.core.ebchk import is_effectively_bounded
-from repro.core.executor import execute_plans_scatter
+from repro.core.kernels import execute_plans_scatter
 from repro.matching.bounded import canonical_answer
 from repro.server.shardserver import ShardServer
+from tests.conftest import plain
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -235,7 +236,7 @@ class TestScatterSubmitContract:
         any_backend.scatter_submit(tasks, None, on_task)
         assert done.wait(10.0)
         for i in range(len(tasks)):
-            assert fired[i] == [row[i] for row in expected]
+            assert plain(fired[i]) == plain([row[i] for row in expected])
 
     def test_routed_and_unrouted_tasks(self, any_backend, imdb_small):
         graph, _ = imdb_small
@@ -290,7 +291,7 @@ class TestOverlap:
                 assert peak >= 2
                 assert max(w["inflight_peak"]
                            for w in backend.wire_stats()) >= 2
-                assert fired[0] == fired[1]
+                assert plain(fired[0]) == plain(fired[1])
                 assert server.pipeline_depth_peak >= 2
             finally:
                 engine.close()

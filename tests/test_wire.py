@@ -1,14 +1,15 @@
-"""The binary scatter wire format: framing, packed codecs, versioning.
+"""The binary scatter wire format: framing, array codecs, versioning.
 
 Covers the wire format at the unit level (frame layout round-trips, one
 line cap and one error type for both frame readers, width-adaptive int
-packing, the packed task/response codecs restoring the exact in-memory
-shapes, encode-once scatter caching) and over live sockets (scatter
-riding binary frames, a protocol-1 peer failing the handshake, a
-JSON-lines scatter answered with a typed error, malformed/truncated
-frames answered with one typed error — no hang, clean close — and a
-malformed shard reply failing the query typed without killing the
-front-end's reader thread).
+packing, protocol-3 array task/answer codecs keeping values, dtypes and
+shapes and rejecting every inconsistent array answer, encode-once
+scatter caching) and over live sockets (scatter riding binary frames,
+protocol-1 and protocol-2 peers failing the handshake, a JSON-lines
+scatter answered with a typed error, malformed/truncated frames answered
+with one typed error — no hang, clean close — and malformed shard
+replies failing the query typed without killing the front-end's reader
+threads).
 """
 
 from __future__ import annotations
@@ -20,34 +21,51 @@ import socket
 import struct
 import threading
 
+import numpy as np
 import pytest
 
 from repro import ShardHandshakeMismatch, ShardUnavailable, connect
 from repro.engine.parallel import _ScatterEncoder
+from repro.core.kernels import describe_nodes, graph_kernel
 from repro.errors import ShardProtocolError
+from repro.graph.frozen import FrozenGraph
+from repro.graph.graph import Graph
 from repro.pattern import parse_pattern
+from repro.pattern.predicates import Predicate
 from repro.server import protocol
 from repro.server.shardserver import ShardServer
 from repro.util import arrays
+from tests.conftest import plain
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
 CHEAP = parse_pattern("m: movie; y: year; m -> y")
 
+I64 = np.int64
+
 TASKS = [
-    ("probe", [1, 2, 70000], [3, 4]),
-    ("fetch", 0, [(5,), (6,), (2**40,)]),
-    ("edge", 1, [(7, 8), (9, 10)]),
-    ("fetch", 2, []),
+    ("probe", np.array([1, 2, 70000], dtype=I64), np.array([3, 4], dtype=I64)),
+    ("fetch", 0, np.array([[5], [6], [2**40]], dtype=I64),
+     Predicate.parse(">=3 & <=9")),
+    ("edge", 1, np.array([[7, 8], [9, 10]], dtype=I64)),
+    ("fetch", 2, np.empty((1, 0), dtype=I64), Predicate.parse('="x"')),
 ]
 
 RESPONSES = [
-    (3, [(1, 3), (70000, 4)]),                                  # probe
-    ([[11, 12], [], [2**40]], {5: ("movie", None), 6: ("movie", "x")}),
-    [[(20, ((True, False), (False, True)))], []],               # edge
-    ([], {}),                                                   # empty fetch
+    (3, np.array([[1, 3], [70000, 4]], dtype=I64)),              # probe
+    (np.array([2, 0, 1], dtype=I64),                             # fetch
+     np.array([11, 12, 2**40], dtype=I64),
+     np.array([11, 2**40], dtype=I64),
+     (["movie", "year"], np.array([2, 7], dtype=I64),
+      np.array([7, 0], dtype=I64), [1.5])),
+    (np.array([1, 0], dtype=I64), np.array([20], dtype=I64),    # edge
+     np.array([0b1001], dtype=I64)),
+    (np.array([0], dtype=I64), np.empty(0, dtype=I64),          # empty
+     np.empty(0, dtype=I64), ([], np.empty(0, dtype=I64),
+                              np.empty(0, dtype=I64), [])),
 ]
 KINDS = ["probe", "fetch", "edge", "fetch"]
+EXPECTED = [("probe", 0), ("fetch", 3), ("edge", 2), ("fetch", 1)]
 
 
 def read_frame_bytes(data: bytes) -> protocol.Frame:
@@ -193,94 +211,157 @@ class TestFraming:
             read(data)
 
 
-# ---------------------------------------------------------- packed codecs
+# ---------------------------------------------------------- array codecs
+def _roundtrip_responses(kinds, responses, expected):
+    metas, buffers = protocol.encode_responses(kinds, responses)
+    return protocol.decode_responses(
+        json.loads(json.dumps(metas)), [memoryview(b) for b in buffers],
+        expected)
+
+
+def _fetch_response(lengths, values, found, info):
+    return (np.array(lengths, dtype=I64), np.array(values, dtype=I64),
+            np.array(found, dtype=I64), info)
+
+
 class TestBinaryCodecs:
-    """Round trips against the original in-memory tuples — the values
-    ``ShardRuntime.handle`` returns and ``InlineShardBackend`` passes
-    through unencoded."""
+    """Protocol 3: tasks and answers are arrays on both ends; round
+    trips keep every value, dtype and shape, and every shape the
+    executor relies on is validated at decode."""
 
     def test_tasks_roundtrip_matches_json_codec(self):
-        metas, buffers = protocol.encode_tasks_binary(TASKS)
+        metas, buffers = protocol.encode_tasks(TASKS)
         views = [memoryview(buf) for buf in buffers]
-        decoded = protocol.decode_tasks_binary(metas, views)
-        assert decoded == TASKS
-        # Exact shapes: ints (not numpy scalars), tuple combos.
-        for task in decoded:
-            if task[0] == "probe":
-                assert all(type(v) is int for v in task[1] + task[2])
-            else:
-                assert all(type(combo) is tuple for combo in task[2])
-                assert all(type(v) is int for combo in task[2]
-                           for v in combo)
+        decoded = protocol.decode_tasks(json.loads(json.dumps(metas)), views)
+        assert plain(decoded) == plain(TASKS)
+        for task, sent in zip(decoded, TASKS):
+            arrays_in = task[1:3] if task[0] == "probe" else task[2:3]
+            for got, want in zip(arrays_in, (sent[1:3] if task[0] == "probe"
+                                             else sent[2:3])):
+                assert got.dtype == np.int64 and got.shape == want.shape
+            if task[0] == "fetch":
+                assert task[3] == sent[3]  # the predicate, rebuilt
 
     def test_responses_roundtrip_matches_json_codec(self):
-        metas, buffers = protocol.encode_shard_responses_binary(
-            KINDS, RESPONSES)
-        views = [memoryview(buf) for buf in buffers]
-        decoded = protocol.decode_shard_responses_binary(
-            metas, views, expected_kinds=KINDS)
-        assert decoded == RESPONSES
+        decoded = _roundtrip_responses(KINDS, RESPONSES, EXPECTED)
+        assert plain(decoded) == plain(RESPONSES)
         checked, pairs = decoded[0]
-        assert type(checked) is int
-        assert all(type(pair) is tuple for pair in pairs)
-        for w, flags in decoded[2][0]:
-            assert type(w) is int
-            assert all(type(f) is bool for pair in flags for f in pair)
+        assert type(checked) is int and pairs.shape == (2, 2)
+        for response in decoded[1:]:
+            for part in response[:3]:
+                assert part.dtype == np.int64 and part.ndim == 1
 
     def test_packed_fetch_info_roundtrip(self):
-        """The dominant wire cost: a fetch info dict whose keys are the
-        payload's distinct ids, values mixing the ``<label>_<n>``
-        template, plain ints, None, and oddballs — must take the packed
-        path and decode to the identical dict."""
-        response = ([[10, 11], [11, 30]],
-                    {10: ("movie", "movie_7"), 11: ("year", 1984),
-                     30: ("award", None)})
-        metas, buffers = protocol.encode_shard_responses_binary(
-            ["fetch"], [response])
-        assert len(metas[0]) == 7  # packed form, not JSON triples
-        [decoded] = protocol.decode_shard_responses_binary(
-            metas, [memoryview(b) for b in buffers],
-            expected_kinds=["fetch"])
-        assert decoded == ([[10, 11], [11, 30]], response[1])
-        # Values the template can't express ride the JSON escape hatch.
-        odd = ([[5]], {5: ("movie", "movie_007")})  # leading zero
-        metas, buffers = protocol.encode_shard_responses_binary(
-            ["fetch"], [odd])
-        assert len(metas[0]) == 7
-        [decoded] = protocol.decode_shard_responses_binary(
-            metas, buffers, expected_kinds=["fetch"])
-        assert decoded == ([[5]], odd[1])
+        """Node info packs as labels, tags and numbers; values outside
+        the int and ``<label>_<n>`` forms ride in the meta. Decoding
+        restores every node's exact label and value."""
+        graph = Graph()
+        values = ["movie_7", "movie_007", 1984, None, 1.5, True, 2**70,
+                  "year_3"]
+        labels = ["movie", "movie", "year", "award", "movie", "award",
+                  "year", "movie"]
+        ids = [graph.add_node(label, value=value)
+               for label, value in zip(labels, values)]
+        kernel = graph_kernel(FrozenGraph.from_graph(graph))
+        found = np.array(sorted(ids), dtype=I64)
+        response = _fetch_response([len(ids)], found, found,
+                                   kernel.node_info(found))
+        [decoded] = _roundtrip_responses(["fetch"], [response],
+                                         [("fetch", 1)])
+        got = describe_nodes([(decoded[2], decoded[3])], found)
+        assert got == [(graph.label_of(v), graph.value_of(v))
+                       for v in found.tolist()]
+        assert [type(value) for _, value in got] == \
+            [type(graph.value_of(v)) for v in found.tolist()]
 
-    def test_fetch_info_fallback_when_keys_diverge(self):
-        """Info keys that aren't the distinct payload ids (nothing the
-        engine produces, but the codec must not corrupt them) fall back
-        to JSON triples."""
-        response = ([[1, 2]], {9: ("movie", "x")})
-        metas, buffers = protocol.encode_shard_responses_binary(
-            ["fetch"], [response])
-        assert len(metas[0]) == 4  # fallback form
-        [decoded] = protocol.decode_shard_responses_binary(
-            metas, buffers, expected_kinds=["fetch"])
-        assert decoded == ([[1, 2]], {9: ("movie", "x")})
+    def test_fetch_info_misaligned_with_found_is_typed(self):
+        info = (["movie"], np.array([1, 1], dtype=I64),
+                np.array([3, 4], dtype=I64), [])
+        bad = [
+            _fetch_response([2], [5, 6], [5], info),        # 2 tags, 1 id
+            _fetch_response([2], [5, 6], [5, 6],            # label index
+                            (["movie"], np.array([1, 5], dtype=I64),
+                             np.array([3, 4], dtype=I64), [])),
+            _fetch_response([2], [5, 6], [5, 6],            # kind-3 count
+                            (["movie"], np.array([3, 1], dtype=I64),
+                             np.array([0, 4], dtype=I64), [])),
+        ]
+        # Extra tags or numbers show as buffer bytes no array accounts
+        # for; a bad label index or kind-3 count fails the info check.
+        for response in bad:
+            with pytest.raises(ShardProtocolError, match="aligned|buffer"):
+                _roundtrip_responses(["fetch"], [response], [("fetch", 1)])
+
+    def test_lengths_that_do_not_sum_to_values_are_typed(self):
+        response = _fetch_response([3], [5, 6], [], ([], np.empty(0, I64),
+                                                     np.empty(0, I64), []))
+        # The payload's size is implied by the lengths, so a lie shows as
+        # a buffer that is too short or too long for its arrays.
+        with pytest.raises(ShardProtocolError, match="buffer"):
+            _roundtrip_responses(["fetch"], [response], [("fetch", 1)])
+        edge = (np.array([1, 1], dtype=I64), np.array([20], dtype=I64),
+                np.array([1], dtype=I64))
+        with pytest.raises(ShardProtocolError, match="buffer"):
+            _roundtrip_responses(["edge"], [edge], [("edge", 2)])
+        # One length per combo of the task, no more, no fewer.
+        ok = RESPONSES[1]
+        with pytest.raises(ShardProtocolError):
+            _roundtrip_responses(["fetch"], [ok], [("fetch", 2)])
+
+    def test_found_not_a_subset_of_values_is_typed(self):
+        empty_info = ([], np.empty(0, I64), np.empty(0, I64), [])
+        info = (["movie"], np.array([1], dtype=I64),
+                np.array([3], dtype=I64), [])
+        with pytest.raises(ShardProtocolError, match="subset"):
+            _roundtrip_responses(
+                ["fetch"], [_fetch_response([2], [5, 6], [7], info)],
+                [("fetch", 1)])
+        two = (["movie"], np.array([1, 1], dtype=I64),
+               np.array([3, 4], dtype=I64), [])
+        with pytest.raises(ShardProtocolError, match="subset"):
+            _roundtrip_responses(  # unsorted
+                ["fetch"], [_fetch_response([2], [5, 6], [6, 5], two)],
+                [("fetch", 1)])
+        assert _roundtrip_responses(
+            ["fetch"], [_fetch_response([2], [5, 6], [], empty_info)],
+            [("fetch", 1)])[0][2].size == 0
 
     def test_kind_mismatch_is_typed(self):
-        metas, buffers = protocol.encode_shard_responses_binary(
-            ["probe"], [RESPONSES[0]])
+        metas, buffers = protocol.encode_responses(["probe"],
+                                                   [RESPONSES[0]])
         with pytest.raises(ShardProtocolError, match="expected"):
-            protocol.decode_shard_responses_binary(
-                metas, buffers, expected_kinds=["fetch"])
+            protocol.decode_responses(metas, buffers, [("fetch", 1)])
 
     def test_size_lies_are_typed(self):
-        metas, buffers = protocol.encode_tasks_binary(
-            [("fetch", 0, [(1, 2), (3, 4)])])
+        metas, buffers = protocol.encode_tasks(
+            [("fetch", 0, np.array([[1, 2], [3, 4]], dtype=I64),
+              Predicate.parse(">1"))])
         metas[0][2] = 7  # claim 7 combos; the buffer holds 2x2 ints
+        with pytest.raises(ShardProtocolError, match="expected 7x2"):
+            protocol.decode_tasks(metas, buffers)
+        metas[0][2], metas[0][3] = 1, 3  # 1x3 is not 4 ints either
+        with pytest.raises(ShardProtocolError, match="expected 1x3"):
+            protocol.decode_tasks(metas, buffers)
+        metas[0][2:4] = [2, 2]
+        metas[0][5] = [["~", 1]]  # no such operator
         with pytest.raises(ShardProtocolError):
-            protocol.decode_tasks_binary(metas, buffers)
+            protocol.decode_tasks(metas, buffers)
+        probe = protocol.encode_responses(
+            ["probe"], [(1, np.array([1, 2, 3], dtype=I64))])
+        with pytest.raises(ShardProtocolError, match="pair"):
+            protocol.decode_responses(*probe, [("probe", 0)])
 
     def test_missing_buffer_reference_is_typed(self):
         with pytest.raises(ShardProtocolError):
-            protocol.decode_tasks_binary([["probe", ["i8", 5], ["i8", 6]]],
-                                         [])
+            protocol.decode_tasks([["probe", ["i8", 5], ["i8", 6]]], [])
+        with pytest.raises(ShardProtocolError):
+            protocol.decode_responses([["edge", ["i8", 0]]], [],
+                                      [("edge", 1)])
+
+    def test_inexact_predicate_constant_is_refused(self):
+        with pytest.raises(ShardProtocolError, match="wire form"):
+            protocol.encode_tasks([("fetch", 0, np.empty((1, 0), dtype=I64),
+                                    Predicate.of(("=", (1, 2))))])
 
 
 # ------------------------------------------------------ encode-once cache
@@ -298,8 +379,8 @@ class TestScatterEncoder:
             envelope = {"id": shard_id + 1, "op": "scatter"}
             frame = read_frame_bytes(encoder.encode(key, dict(envelope)))
             assert frame["id"] == shard_id + 1 and frame.binary
-            assert protocol.decode_tasks_binary(
-                frame["tasks_meta"], frame.payloads) == expected
+            assert plain(protocol.decode_tasks(
+                frame["tasks_meta"], frame.payloads)) == plain(expected)
 
 
 # ------------------------------------------------------------ live sockets
@@ -341,6 +422,13 @@ class TestLiveNegotiation:
                 stats = remote._shards.wire_stats()
                 assert all(s["bytes_sent"] > 0 and s["bytes_received"] > 0
                            for s in stats)
+                # Response decode is timed on the reader threads, next
+                # to the keys benchmarks already read.
+                assert all(s["decode_ms"] > 0 and s["encode_ms"] > 0
+                           for s in stats)
+                assert {"shard_id", "addr", "bytes_sent", "bytes_received",
+                        "encode_ms", "decode_ms", "inflight",
+                        "inflight_peak"} == set(stats[0])
             assert any(s.binary_frames_received > 0 for s in servers)
         finally:
             for server in servers:
@@ -358,9 +446,44 @@ class TestLiveNegotiation:
         assert response["ok"] is False
         assert response["error"] == "ShardHandshakeMismatch"
         assert response["found"] == 1
-        assert response["expected"] == protocol.PROTOCOL_VERSION == 2
+        assert response["expected"] == protocol.PROTOCOL_VERSION == 3
         with pytest.raises(ShardHandshakeMismatch):
             protocol.raise_error(response)
+
+    def test_protocol_2_hello_is_a_handshake_mismatch(self, artifact):
+        """A front-end from before array scatter (list/tuple tasks,
+        front-end predicates) fails the hello, whichever side is old."""
+        server = ShardServer(artifact / "shard-0000").start()
+        try:
+            response = self._call(server, {"id": 1, "op": "hello",
+                                           "protocol": 2})
+        finally:
+            server.stop()
+        assert response["ok"] is False
+        assert response["error"] == "ShardHandshakeMismatch"
+        assert (response["found"], response["expected"]) == (2, 3)
+
+        from tests.test_remote import fake_shard_server, hello_fields_for
+        hello = {**hello_fields_for(artifact, 0), "protocol": 2}
+
+        def old_shard(conn):
+            try:
+                reader = conn.makefile("rb")
+                doc = protocol.read_frame(reader)
+                conn.sendall(protocol.encode({"id": doc.get("id"),
+                                              "ok": True, **hello}))
+                reader.read()
+            except (OSError, EOFError, ValueError):
+                pass
+            conn.close()
+
+        addr, close = fake_shard_server(old_shard)
+        try:
+            with pytest.raises(ShardHandshakeMismatch, match="protocol"):
+                connect(artifact, backend="remote", shard_addrs=[addr, addr],
+                        retries=0, connect_timeout=2.0)
+        finally:
+            close()
 
     def test_json_lines_scatter_is_a_typed_protocol_error(self, artifact):
         server = ShardServer(artifact / "shard-0000").start()
@@ -482,6 +605,74 @@ class TestLiveMalformedFrames:
                 for conn in remote._shards._conns.values():
                     if conn.reader is not None:
                         conn.reader.join(timeout=5)
+        finally:
+            for _, close in fakes:
+                close()
+        assert uncaught == []
+
+    @pytest.mark.parametrize("lie", ["lengths", "subset", "info"])
+    def test_malformed_array_answer_is_typed(self, artifact, monkeypatch,
+                                             lie):
+        """Shards that handshake truthfully and answer a scatter with a
+        well-framed but inconsistent array response fail the query with
+        ShardProtocolError; no reader thread dies uncaught."""
+        from tests.test_remote import fake_shard_server, hello_fields_for
+
+        def answer(kind, combos):
+            lengths = [2] + [0] * (combos - 1) if combos else []
+            if kind == "probe":
+                return (0, np.empty((0, 2), dtype=I64))
+            if kind == "edge":
+                return (np.array(lengths, dtype=I64),
+                        np.array([5, 6], dtype=I64),
+                        np.array([0], dtype=I64))  # one mask, two entries
+            values, found = [5, 6], [5]
+            tags = [1]
+            if lie == "lengths":
+                values = [5, 6, 7]
+            elif lie == "subset":
+                found = [9]
+            else:
+                tags = [1, 1]
+            return _fetch_response(lengths, values, found,
+                                   (["movie"], np.array(tags, dtype=I64),
+                                    np.zeros(len(tags), dtype=I64), []))
+
+        def handler_for(hello):
+            def handler(conn):
+                try:
+                    reader = conn.makefile("rb")
+                    while True:
+                        doc = protocol.read_frame(reader)
+                        if doc.get("op") == "hello":
+                            conn.sendall(protocol.encode(
+                                {"id": doc.get("id"), "ok": True, **hello}))
+                            continue
+                        tasks = protocol.decode_tasks(doc["tasks_meta"],
+                                                      doc.payloads)
+                        kinds = [task[0] for task in tasks]
+                        metas, buffers = protocol.encode_responses(
+                            kinds, [answer(task[0], 0 if task[0] == "probe"
+                                           else len(task[2]))
+                                    for task in tasks])
+                        conn.sendall(protocol.encode_binary(
+                            {"id": doc.get("id"), "ok": True,
+                             "responses_meta": metas}, buffers))
+                except (OSError, EOFError, ValueError, ShardProtocolError):
+                    conn.close()
+            return handler
+
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        fakes = [fake_shard_server(handler_for(
+            hello_fields_for(artifact, shard_id))) for shard_id in range(2)]
+        try:
+            with connect(artifact, backend="remote",
+                         shard_addrs=[addr for addr, _ in fakes],
+                         retries=0, connect_timeout=2.0) as remote:
+                with pytest.raises(ShardProtocolError) as err:
+                    remote.query(CHEAP)
+                assert err.value.addr in [addr for addr, _ in fakes]
         finally:
             for _, close in fakes:
                 close()
